@@ -20,8 +20,6 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from .fp_poly import (
     EXPONENT_LIMIT,
     Matrix,
@@ -220,29 +218,33 @@ def _least_primitive_root(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def gl_generators(n: int, p: int) -> Tuple[Matrix, ...]:
-    """A small generating set for GL(n, F_p).
+    """A generating set of at most three matrices for GL(n, F_p).
 
-    All transvections I + E_{jk} (j != k), plus diag(g, 1, .., 1) for the
-    least primitive root g when p > 2.  For (n, p) = (1, 2) the group is
-    trivial and the list is empty.
+    For n >= 2: the transvection I + E_12 and the permutation matrix C of
+    the n-cycle (1 2 .. n).  For p > 2 also diag(g, 1, .., 1), g the
+    least primitive root.  At n = 1 only the diagonal matrix remains, so
+    (n, p) = (1, 2) gives the empty set.
+
+    Why they generate: conjugating I + E_12 by powers of C gives
+    I + E_23, .., I + E_n1.  The commutator of I + E_ij and I + E_jk is
+    I + E_ik, so chains of these reach every I + E_ik (i != k), and its
+    c-th power is the elementary transvection I + c E_ik.  Elementary
+    transvections generate SL(n, F_p), and the diagonal matrix then
+    reaches every determinant (at p = 2 the determinant is always 1).
     """
     require_prime(p)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     gens = []
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                rows[j][k] = 1
-                gens.append(Matrix(p, rows))
+    if n >= 2:
+        transvection = [[int(a == b) for b in range(n)] for a in range(n)]
+        transvection[0][1] = 1
+        cycle = [[int(b == (a + 1) % n) for b in range(n)] for a in range(n)]
+        gens += [Matrix(p, transvection), Matrix(p, cycle)]
     if p > 2:
-        g = _least_primitive_root(p)
-        rows = [[0] * n for _ in range(n)]
-        rows[0][0] = g
-        for a in range(1, n):
-            rows[a][a] = 1
-        gens.append(Matrix(p, rows))
+        diagonal = [[int(a == b) for b in range(n)] for a in range(n)]
+        diagonal[0][0] = _least_primitive_root(p)
+        gens.append(Matrix(p, diagonal))
     return tuple(gens)
 
 
@@ -260,36 +262,16 @@ def _monomials_of_degree(n: int, d: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    rows, cols = a.shape
-    a = a % p
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[r + 1:, c]
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[r + 1 + hit] = (a[r + 1 + hit] - np.outer(col[hit], a[r])) % p
-        r += 1
-    return r
-
-
 def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
     Exact linear algebra: the invariants of degree d are the joint kernel of
     the operators (substitution by M) - identity on the degree-d monomial
-    basis, M running over gl_generators.  Raises BoundExceeded when the
-    basis is larger than bound.
+    basis, M running over gl_generators.  Each basis monomial m gives one
+    sparse row, the images M(m) - m keyed by (generator index, monomial);
+    the rows are reduced mod p against pivot rows stored under their least
+    key, and the kernel dimension is the basis size minus the rank.
+    Raises BoundExceeded when the basis is larger than bound.
     """
     require_prime(p)
     if n < 1 or d < 0:
@@ -299,22 +281,29 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
         raise BoundExceeded(
             f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
         )
-    basis = list(_monomials_of_degree(n, d))
-    index = {m: k for k, m in enumerate(basis)}
     gens = gl_generators(n, p)
-    if not gens:
-        return basis_size
-    blocks = []
-    for mat in gens:
-        block = np.zeros((basis_size, basis_size), dtype=np.int64)
-        for col, m in enumerate(basis):
-            image = substitute_linear(Poly._make(n, p, {m: 1}), mat)
-            for mm, c in image.terms.items():
-                block[index[mm], col] = c
-            block[col, col] = (block[col, col] - 1) % p
-        blocks.append(block)
-    stacked = np.concatenate(blocks, axis=0)
-    return basis_size - _rank_mod_p(stacked, p)
+    pivots = {}
+    for m in _monomials_of_degree(n, d):
+        row = {}
+        for k, mat in enumerate(gens):
+            image = dict(substitute_linear(Poly._make(n, p, {m: 1}), mat).terms)
+            image[m] = (image.get(m, 0) - 1) % p
+            row.update(((k, mm), c) for mm, c in image.items() if c)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {key: c * inv % p for key, c in row.items()}
+                break
+            factor = row[lead]
+            for key, c in pivot.items():
+                v = (row.get(key, 0) - factor * c) % p
+                if v:
+                    row[key] = v
+                else:
+                    del row[key]
+    return basis_size - len(pivots)
 
 
 def dickson_monomial_count(n: int, p: int, d: int) -> int:

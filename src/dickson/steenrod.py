@@ -38,7 +38,7 @@ from .fp_poly import (
     poly_sub,
     poly_zero,
 )
-from .invariants import P_coef, R_coef, _sign_unit, dickson_Q
+from .invariants import L, P_coef, R_coef, _sign_unit, bracket, dickson_Q
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -155,8 +155,6 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
 
     Exact for all i >= 1 and 0 <= s < n.
     """
-    from .invariants import L, bracket
-
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
     if i < 1:

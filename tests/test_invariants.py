@@ -227,14 +227,16 @@ class TestGLGroup:
         assert len(gl_generators(1, 3)) == 1
         assert len(gl_generators(2, 2)) == 2
         assert len(gl_generators(2, 3)) == 3
-        assert len(gl_generators(3, 2)) == 6
+        assert len(gl_generators(3, 2)) == 2
+        assert len(gl_generators(3, 3)) == 3
+        assert len(gl_generators(4, 2)) == 2
 
     def test_generators_invertible(self):
         for (p, n) in [(2, 2), (3, 2), (5, 2), (2, 3)]:
             for m in gl_generators(n, p):
                 assert m.is_invertible()
 
-    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
     def test_generators_span_group(self, p, n):
         # closure of the generating set under products is the whole group
         gens = gl_generators(n, p)
@@ -296,9 +298,15 @@ class TestDimensions:
         assert invariant_space_dimension(1, 3, 4) == 1
         assert invariant_space_dimension(1, 3, 5) == 0
 
-    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3)])
-    def test_matches_monomial_count(self, n, p):
-        for d in range(13):
+    @pytest.mark.parametrize("n,p,d_max", [
+        pytest.param(2, 2, 12, id="2-2"),
+        pytest.param(3, 2, 12, id="3-2"),
+        pytest.param(2, 3, 12, id="2-3"),
+        pytest.param(3, 3, 27, id="3-3"),
+    ])
+    def test_matches_monomial_count(self, n, p, d_max):
+        # (3, 3) is the only case at odd p with n >= 3
+        for d in range(d_max + 1):
             assert invariant_space_dimension(n, p, d) == dickson_monomial_count(n, p, d)
 
     def test_bound(self):

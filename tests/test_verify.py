@@ -238,6 +238,15 @@ class TestCli:
             main(["--theorem", "q0-power", "--p", "2", "--n", "2"])
         assert info.value.code == 2
 
+    def test_exponent_overflow_skips(self, capsys):
+        # p**i passes 2**63 at i = 28, 29, 30: skipped, not a traceback
+        rc = main(["--theorem", "det-formula", "--p", "5", "--n", "1",
+                   "--i-max", "30"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "SKIPPED: 3" in out.splitlines()
+        assert "FAILED: 0" in out.splitlines()
+
     def test_tiny_budget_env_skips(self, monkeypatch, capsys):
         monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
         rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
