@@ -3,9 +3,9 @@
 Each identity is checked as an exact polynomial equality at concrete
 (p, n, s, i, d) points, never symbolically.  A case either passes, fails
 with a witness (the grevlex-largest monomial where the two sides differ),
-is skipped because a term-count or time budget was exceeded, or, for the
-report-only i = n + 3 corollary, passes with a flag and a witness when the
-tabulated composite disagrees with the directly computed action.
+is skipped, with the reason, when a term-count, time or size limit is hit,
+or, for the report-only i = n + 3 corollary, passes with a flag and a
+witness when the tabulated composite disagrees with the direct action.
 
 Reports serialize deterministically: emitting the same Report twice gives
 identical bytes, and two grid runs with the same configuration and seed
@@ -19,7 +19,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
 from .fp_poly import (
@@ -51,21 +51,6 @@ from .steenrod import (
     st_delta,
     st_delta_via_dl2,
     st_delta_via_main,
-)
-
-THEOREMS: Tuple[str, ...] = (
-    "main",
-    "smith-switzer",
-    "recursion",
-    "det-formula",
-    "routes-agree",
-    "cor-n1",
-    "cor-n2",
-    "cor-n3",
-    "kernel",
-    "invariance",
-    "hilbert",
-    "q0-power",
 )
 
 # (p, n) pairs exercised when no explicit ranges are requested.
@@ -104,6 +89,7 @@ class CaseResult:
     flagged: bool
     elapsed_ms: float
     witness: Optional[str] = None
+    skip_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -120,19 +106,6 @@ class Report:
             "failed": sum(1 for c in self.cases if not c.passed and not c.skipped),
             "skipped": sum(1 for c in self.cases if c.skipped),
         }
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    theorems: Tuple[str, ...] = THEOREMS
-    pairs: Tuple[Tuple[int, int], ...] = DEFAULT_PAIRS
-    s_values: Optional[Tuple[int, ...]] = None
-    i_max: Optional[int] = None
-    d_max: int = DEFAULT_D_MAX
-    seed: int = 0
-    term_budget: int = DEFAULT_TERM_BUDGET
-    time_budget: float = DEFAULT_TIME_BUDGET
-    inject_failure: bool = False
 
 
 def term_budget_from_env() -> int:
@@ -168,46 +141,53 @@ class _Budget:
             raise BudgetExceeded("time budget exceeded")
 
 
-def _witness(lhs: Poly, rhs: Poly) -> str:
-    """The grevlex-largest monomial where the two sides differ."""
+_Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
+_Check = Callable[[CaseSpec, _Budget], _Outcome]
+_Coord = Tuple[Optional[int], Optional[int], Optional[int]]  # (s, i, d)
+
+
+def _compare(lhs: Poly, rhs: Poly) -> _Outcome:
+    """Pass, or fail with the witness: the grevlex-largest monomial where
+    the two sides differ."""
+    if lhs == rhs:
+        return True, False, None
     diff = [
         m for m in set(lhs.terms) | set(rhs.terms)
         if lhs.terms.get(m, 0) != rhs.terms.get(m, 0)
     ]
     top = max(diff, key=grevlex_key)
-    return format_poly(Poly._make(lhs.n, lhs.p, {top: 1}))
+    return False, False, format_poly(Poly._make(lhs.n, lhs.p, {top: 1}))
 
 
-_Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
-
-
-def _compare(lhs: Poly, rhs: Poly) -> _Outcome:
-    if lhs == rhs:
-        return True, False, None
-    return False, False, _witness(lhs, rhs)
-
-
-def _case_closed_form(rhs_of, spec: CaseSpec, budget: _Budget) -> _Outcome:
-    """st_delta(Q_{n,s}, i) against the closed form rhs_of(n, s, i, p)."""
-    lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), spec.i)
+def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outcome:
+    """st_delta(Q_{n,s}, i) against each route(n, s, i, p).  Every side is
+    built and guarded before any is compared; the first route that differs
+    gives the witness."""
+    lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), i)
     budget.guard(lhs)
-    rhs = rhs_of(spec.n, spec.s, spec.i, spec.p)
-    budget.guard(rhs)
-    return _compare(lhs, rhs)
-
-
-def _case_routes_agree(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    direct = st_delta(dickson_Q(spec.n, spec.s, spec.p), spec.i)
-    budget.guard(direct)
-    dl2 = st_delta_via_dl2(spec.n, spec.s, spec.i, spec.p)
-    budget.guard(dl2)
-    main = st_delta_via_main(spec.n, spec.s, spec.i, spec.p)
-    budget.guard(main)
-    for other in (dl2, main):
-        ok, _, wit = _compare(direct, other)
-        if not ok:
-            return False, False, wit
+    sides = []
+    for route in routes:
+        sides.append(route(spec.n, spec.s, i, spec.p))
+        budget.guard(sides[-1])
+    for rhs in sides:
+        if rhs != lhs:
+            return _compare(lhs, rhs)
     return True, False, None
+
+
+def _case_cor(k: int) -> _Check:
+    """st_delta(Q_{n,s}, n + k) against the tabulated composite for i = n + k."""
+    return lambda spec, budget: _case_st_delta_Q(
+        spec, budget, spec.n + k,
+        lambda n, s, i, p: corollary_rhs(f"n+{k}", n, s, p))
+
+
+def _flag_only(check: _Check) -> _Check:
+    """Report-only: a mismatch passes, flagged, and keeps its witness."""
+    def flagged(spec: CaseSpec, budget: _Budget) -> _Outcome:
+        passed, _, witness = check(spec, budget)
+        return True, not passed, witness
+    return flagged
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -220,24 +200,9 @@ def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
         lhs = bracket(n, prefix + (e + n,), p)
         rhs = recursion_rhs(n, prefix, e, p)
         budget.guard(lhs, rhs)
-        ok, _, wit = _compare(lhs, rhs)
-        if not ok:
-            return False, False, wit
+        if lhs != rhs:
+            return _compare(lhs, rhs)
     return True, False, None
-
-
-def _case_cor(which: str, spec: CaseSpec, budget: _Budget, flag_only: bool) -> _Outcome:
-    i = spec.n + {"n+1": 1, "n+2": 2, "n+3": 3}[which]
-    lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), i)
-    budget.guard(lhs)
-    rhs = corollary_rhs(which, spec.n, spec.s, spec.p)
-    budget.guard(rhs)
-    ok, _, wit = _compare(lhs, rhs)
-    if ok:
-        return True, False, None
-    if flag_only:
-        return True, True, wit
-    return False, False, wit
 
 
 def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -248,9 +213,8 @@ def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
     budget.guard(once)
     rhs = corollary_rhs("kernel", n, s, p, i=i)
     budget.guard(rhs)
-    ok, _, wit = _compare(once, rhs)
-    if not ok:
-        return False, False, wit
+    if once != rhs:
+        return _compare(once, rhs)
     twice = st_delta(once, i)
     budget.guard(twice)
     return _compare(twice, poly_zero(n, p))
@@ -262,9 +226,8 @@ def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
     for mat in gl_generators(spec.n, spec.p):
         budget.checkpoint()
         image = substitute_linear(f, mat)
-        ok, _, wit = _compare(image, f)
-        if not ok:
-            return False, False, wit
+        if image != f:
+            return _compare(image, f)
     return True, False, None
 
 
@@ -287,53 +250,115 @@ def _case_q0_power(spec: CaseSpec, budget: _Budget) -> _Outcome:
     return _compare(lhs, rhs)
 
 
-# One check per theorem, in THEOREMS order.  The lambdas look the builders
-# up when called, so rebinding a module-level name (to wrap or trace it)
-# reaches every check.
-_CHECKS: Dict[str, Callable[[CaseSpec, _Budget], _Outcome]] = {
-    "main": lambda spec, budget: _case_closed_form(st_delta_via_main, spec, budget),
-    "smith-switzer": lambda spec, budget: _case_closed_form(smith_switzer_value, spec, budget),
-    "recursion": _case_recursion,
-    "det-formula": lambda spec, budget: _case_closed_form(st_delta_via_dl2, spec, budget),
-    "routes-agree": _case_routes_agree,
-    "cor-n1": lambda spec, budget: _case_cor("n+1", spec, budget, flag_only=False),
-    "cor-n2": lambda spec, budget: _case_cor("n+2", spec, budget, flag_only=False),
-    "cor-n3": lambda spec, budget: _case_cor("n+3", spec, budget, flag_only=True),
-    "kernel": _case_kernel,
-    "invariance": _case_invariance,
-    "hilbert": _case_hilbert,
-    "q0-power": _case_q0_power,
+def _each_s(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
+    return [(s, None, None) for s in s_range]
+
+
+def _each_s_i(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
+    return [(s, i, None) for s in s_range for i in range(1, i_top + 1)]
+
+
+def _once(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
+    return [(None, None, None)]
+
+
+class _Family(NamedTuple):
+    check: _Check
+    # (n, allowed s values, top i, d_max) -> the (s, i, d) of each case at one (p, n)
+    coords: Callable[[int, List[int], int, int], List[_Coord]]
+
+
+# The identity families, in report order.  The check lambdas look the
+# builders up when called, so rebinding a module-level name (to wrap or
+# trace it) reaches every check.
+_FAMILIES: Dict[str, _Family] = {
+    "main": _Family(
+        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_main),
+        _each_s_i),
+    "smith-switzer": _Family(
+        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, smith_switzer_value),
+        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, n, d_max)),
+    "recursion": _Family(_case_recursion, _once),
+    "det-formula": _Family(
+        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_dl2),
+        _each_s_i),
+    "routes-agree": _Family(
+        lambda spec, budget: _case_st_delta_Q(
+            spec, budget, spec.i, st_delta_via_dl2, st_delta_via_main),
+        _each_s_i),
+    "cor-n1": _Family(_case_cor(1), _each_s),
+    "cor-n2": _Family(_case_cor(2), _each_s),
+    "cor-n3": _Family(_flag_only(_case_cor(3)), _each_s),
+    "kernel": _Family(
+        _case_kernel,
+        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n + 3), d_max)),
+    "invariance": _Family(_case_invariance, _each_s),
+    "hilbert": _Family(
+        _case_hilbert,
+        lambda n, s_range, i_top, d_max: [(None, None, d) for d in range(d_max + 1)]),
+    "q0-power": _Family(_case_q0_power, _once),
 }
+
+THEOREMS: Tuple[str, ...] = tuple(_FAMILIES)
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """A verification grid; construction rejects a grid that cannot run."""
+    theorems: Tuple[str, ...] = THEOREMS
+    pairs: Tuple[Tuple[int, int], ...] = DEFAULT_PAIRS
+    s_values: Optional[Tuple[int, ...]] = None
+    i_max: Optional[int] = None
+    d_max: int = DEFAULT_D_MAX
+    seed: int = 0
+    term_budget: int = DEFAULT_TERM_BUDGET
+    inject_failure: bool = False
+
+    def __post_init__(self) -> None:
+        for name in self.theorems:
+            if name not in _FAMILIES:
+                raise ValueError(f"unknown theorem {name!r}")
+        for p, n in self.pairs:
+            require_prime(p)
+            if n < 1:
+                raise ValueError(f"need n >= 1, got {n}")
+        if any(s < 0 for s in self.s_values or ()):
+            raise ValueError(f"need s >= 0, got {min(self.s_values)}")
+        if self.i_max is not None and self.i_max < 1:
+            raise ValueError(f"need i_max >= 1, got {self.i_max}")
+        if self.d_max < 0:
+            raise ValueError(f"need d_max >= 0, got {self.d_max}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 def run_case(
     spec: CaseSpec,
     *,
-    term_budget: Optional[int] = None,
+    term_budget: int = DEFAULT_TERM_BUDGET,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> CaseResult:
-    """Evaluate one case.  Resource exhaustion gives skipped, never failed;
-    that includes an exponent past 2**63 (OverflowError)."""
-    if term_budget is None:
-        term_budget = term_budget_from_env()
+    """Evaluate one case.  Resource exhaustion gives skipped with a reason,
+    never failed; that includes an exponent past 2**63 (OverflowError)."""
+    family = _FAMILIES.get(spec.theorem)
+    if family is None:
+        raise ValueError(f"unknown theorem {spec.theorem!r}")
     budget = _Budget(term_budget, time_budget)
     start = time.perf_counter()
+    skip_reason = None
     try:
-        check = _CHECKS.get(spec.theorem)
-        if check is None:
-            raise ValueError(f"unknown theorem {spec.theorem!r}")
-        passed, flagged, witness = check(spec, budget)
-        skipped = False
-    except (BudgetExceeded, BoundExceeded, OverflowError):
-        passed, flagged, witness, skipped = True, False, None, True
+        passed, flagged, witness = family.check(spec, budget)
+    except (BudgetExceeded, BoundExceeded, OverflowError) as exc:
+        passed, flagged, witness, skip_reason = False, False, None, str(exc)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     return CaseResult(
         spec=spec,
-        passed=passed and not skipped,
-        skipped=skipped,
+        passed=passed,
+        skipped=skip_reason is not None,
         flagged=flagged,
         elapsed_ms=elapsed_ms,
         witness=witness,
+        skip_reason=skip_reason,
     )
 
 
@@ -345,53 +370,19 @@ def _case_seed(config_seed: int, theorem: str, p: int, n: int,
 
 def grid_cases(config: GridConfig) -> List[CaseSpec]:
     """The deterministic, canonically ordered case list for a configuration."""
-    for name in config.theorems:
-        if name not in THEOREMS:
-            raise ValueError(f"unknown theorem {name!r}")
-    for p, _ in config.pairs:
-        require_prime(p)
     cases: List[CaseSpec] = []
-
-    def spawn(theorem: str, p: int, n: int, s=None, i=None, d=None) -> None:
-        cases.append(CaseSpec(
-            theorem=theorem, p=p, n=n, s=s, i=i, d=d,
-            seed=_case_seed(config.seed, theorem, p, n, s, i, d),
-        ))
-
     for theorem in config.theorems:
         for p, n in config.pairs:
-            if n < 1:
-                raise ValueError(f"need n >= 1, got {n}")
-            i_top = config.i_max if config.i_max is not None else n + 4
             s_range = [
                 s for s in range(n)
                 if config.s_values is None or s in config.s_values
             ]
-            if theorem in ("main", "det-formula", "routes-agree"):
-                for s in s_range:
-                    for i in range(1, i_top + 1):
-                        spawn(theorem, p, n, s=s, i=i)
-            elif theorem == "smith-switzer":
-                for s in s_range:
-                    for i in range(1, n + 1):
-                        spawn(theorem, p, n, s=s, i=i)
-            elif theorem == "recursion":
-                spawn(theorem, p, n)
-            elif theorem in ("cor-n1", "cor-n2", "cor-n3"):
-                for s in s_range:
-                    spawn(theorem, p, n, s=s)
-            elif theorem == "kernel":
-                for s in s_range:
-                    for i in range(1, min(i_top, n + 3) + 1):
-                        spawn(theorem, p, n, s=s, i=i)
-            elif theorem == "invariance":
-                for s in s_range:
-                    spawn(theorem, p, n, s=s)
-            elif theorem == "hilbert":
-                for d in range(config.d_max + 1):
-                    spawn(theorem, p, n, d=d)
-            elif theorem == "q0-power":
-                spawn(theorem, p, n)
+            i_top = config.i_max if config.i_max is not None else n + 4
+            for s, i, d in _FAMILIES[theorem].coords(n, s_range, i_top, config.d_max):
+                cases.append(CaseSpec(
+                    theorem=theorem, p=p, n=n, s=s, i=i, d=d,
+                    seed=_case_seed(config.seed, theorem, p, n, s, i, d),
+                ))
     if config.inject_failure:
         p, n = config.pairs[0]
         cases.append(CaseSpec(
@@ -404,10 +395,7 @@ def grid_cases(config: GridConfig) -> List[CaseSpec]:
 
 def run_grid(config: GridConfig) -> Report:
     cases = grid_cases(config)
-    results = tuple(
-        run_case(spec, term_budget=config.term_budget, time_budget=config.time_budget)
-        for spec in cases
-    )
+    results = tuple(run_case(spec, term_budget=config.term_budget) for spec in cases)
     return Report(
         version=__version__,
         sign_flag=sign_convention_flag(),
@@ -433,6 +421,8 @@ def report_to_dict(report: Report) -> Dict:
         }
         if c.witness is not None:
             entry["witness"] = c.witness
+        if c.skip_reason is not None:
+            entry["skip_reason"] = c.skip_reason
         cases.append(entry)
     return {
         "version": report.version,
@@ -472,7 +462,7 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         lines.append(
             f"{c.spec.theorem:<14} {c.spec.p:>3} {c.spec.n:>2} "
             f"{cell(c.spec.s):>2} {cell(c.spec.i):>2} {cell(c.spec.d):>3}  "
-            f"{status:<6} {c.elapsed_ms:>9.3f}  {c.witness or ''}".rstrip()
+            f"{status:<6} {c.elapsed_ms:>9.3f}  {c.witness or c.skip_reason or ''}".rstrip()
         )
     summary = report.summary
     flagged = sum(1 for c in report.cases if c.flagged)

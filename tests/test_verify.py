@@ -1,5 +1,6 @@
 """Verification grid plumbing: case dispatch, reports, determinism, CLI."""
 import json
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,18 @@ class TestGridCases:
 
     def test_default_grid_size(self):
         assert len(grid_cases(GridConfig())) == 522
+
+    def test_default_grid_family_counts(self):
+        counts = Counter(c.theorem for c in grid_cases(GridConfig()))
+        assert counts == {
+            "main": 67, "smith-switzer": 23, "recursion": 6, "det-formula": 67,
+            "routes-agree": 67, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11,
+            "kernel": 56, "invariance": 11, "hilbert": 186, "q0-power": 6,
+        }
+
+    def test_theorems_in_grid_order(self):
+        first_seen = list(dict.fromkeys(c.theorem for c in grid_cases(GridConfig())))
+        assert tuple(first_seen) == THEOREMS
 
     def test_deterministic(self):
         a = grid_cases(GridConfig(seed=3))
@@ -80,6 +93,20 @@ class TestGridCases:
         with pytest.raises(ValueError):
             grid_cases(GridConfig(pairs=((2, 0),)))
 
+    @pytest.mark.parametrize("field", [
+        dict(theorems=("nope",)),
+        dict(pairs=((4, 2),)),
+        dict(pairs=((2, 0),)),
+        dict(s_values=(0, -1)),
+        dict(i_max=0),
+        dict(d_max=-1),
+        dict(seed=-1),
+        dict(seed=2 ** 64),
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_config_rejects_on_construction(self, field):
+        with pytest.raises(ValueError):
+            GridConfig(**field)
+
 
 class TestRunCase:
     def test_single_pass(self):
@@ -96,15 +123,32 @@ class TestRunCase:
     def test_term_budget_skips(self):
         r = run_case(CaseSpec(theorem="q0-power", p=2, n=2), term_budget=1)
         assert r.skipped and not r.passed
+        assert r.skip_reason == "2 terms exceed the budget 1"
 
     def test_time_budget_skips(self):
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=20), time_budget=0.0)
         assert r.skipped
+        assert r.skip_reason == "time budget exceeded"
 
     def test_dimension_bound_skips(self):
         # a basis too large for the dimension routine reports as skipped
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=3, d=200))
         assert r.skipped
+        assert r.skip_reason == (
+            "degree-200 monomial basis has 20301 elements, bound is 5000")
+
+    def test_no_skip_reason_unless_skipped(self):
+        assert run_case(CaseSpec(theorem="q0-power", p=2, n=2)).skip_reason is None
+        assert run_case(CaseSpec(theorem="q0-power", p=2, n=2,
+                                 perturb=True)).skip_reason is None
+
+    def test_budget_env_is_read_by_the_cli_only(self, monkeypatch):
+        # library callers pass term_budget; run_case and run_grid agree
+        monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
+        single = run_case(CaseSpec("q0-power", 2, 2))
+        report = run_grid(GridConfig(theorems=("q0-power",), pairs=((2, 2),)))
+        assert single.passed and not single.skipped
+        assert [(c.passed, c.skipped) for c in report.cases] == [(True, False)]
 
     def test_flagged_composite(self):
         r = run_case(CaseSpec(theorem="cor-n3", p=3, n=2, s=1))
@@ -246,6 +290,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SKIPPED: 3" in out.splitlines()
         assert "FAILED: 0" in out.splitlines()
+        assert any(" skip " in line and line.endswith("  p**28 exceeds 2**63")
+                   for line in out.splitlines())
+        rc = main(["--theorem", "det-formula", "--p", "5", "--n", "1",
+                   "--i-max", "30", "--format", "json"])
+        assert rc == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        reasons = {c["i"]: c.get("skip_reason") for c in cases}
+        assert {i: reasons[i] for i in (28, 29, 30)} == {
+            i: f"p**{i} exceeds 2**63" for i in (28, 29, 30)}
+        assert all(reasons[i] is None for i in range(1, 28))
 
     def test_tiny_budget_env_skips(self, monkeypatch, capsys):
         monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
@@ -254,3 +308,15 @@ class TestCli:
         assert rc == 0  # skipped cases do not fail the run
         data = json.loads(capsys.readouterr().out)
         assert data["summary"] == {"passed": 0, "failed": 0, "skipped": 1}
+        assert data["cases"][0]["skip_reason"] == "2 terms exceed the budget 1"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, where):
+        target = tmp_path / "no" / "r.json" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as info:
+            main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                  "--out", str(target)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write --out" in captured.err
