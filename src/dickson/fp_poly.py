@@ -10,6 +10,13 @@ The monomial order used everywhere (division, formatting, witnesses) is
 graded reverse lexicographic: compare total degree first, and break ties
 by the *last* position where the exponents differ, smaller exponent wins.
 
+Exponent tuples are the only stored form of a monomial.  Inside poly_mul
+and exact_div each monomial is packed into one Python int, with one bit
+field per variable, sized from the operands so that no field can carry
+into the next; multiplying two monomials is then one integer addition
+(packed exponent vectors, after Monagan and Pearce).  Packing never
+leaves those two functions.
+
 Values are immutable by convention: no function here mutates an input
 Poly or Matrix, and callers must not touch .terms / .entries after
 construction.  That makes sharing (memo tables, repeated references)
@@ -18,6 +25,7 @@ safe without defensive copying.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
@@ -223,6 +231,15 @@ def poly_scale(f: Poly, c: int) -> Poly:
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
+    """The product f * g.
+
+    A single-term operand just shifts the other operand's monomials.
+    Otherwise each monomial is packed into one int, variable j in a bit
+    field as wide as the largest xj exponent the product can hold, so no
+    field carries and a monomial product is one integer addition.  The raw
+    coefficient products are summed per packed monomial, reduced mod p once
+    at the end, and only the surviving terms are unpacked.
+    """
     _same_ring(f, g)
     if not f.terms or not g.terms:
         return Poly._make(f.n, f.p, {})
@@ -231,15 +248,40 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     if len(f.terms) > len(g.terms):
         f, g = g, f
     p = f.p
-    out: Terms = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            v = (out.get(m, 0) + c1 * c2) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+    if len(f.terms) == 1:
+        [(m1, c1)] = f.terms.items()
+        return Poly._make(f.n, p, {
+            tuple(a + b for a, b in zip(m1, m2)): c1 * c2 % p for m2, c2 in g.terms.items()
+        })
+    fields = []
+    shift = 0
+    fk = [0] * len(f.terms)
+    gk = [0] * len(g.terms)
+    for j in range(f.n):
+        fcol = [m[j] for m in f.terms]
+        gcol = [m[j] for m in g.terms]
+        width = (max(fcol) + max(gcol)).bit_length()
+        if width:
+            fk = [k + (a << shift) for k, a in zip(fk, fcol)]
+            gk = [k + (a << shift) for k, a in zip(gk, gcol)]
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+    gp = list(zip(gk, g.terms.values()))
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for k1, c1 in zip(fk, f.terms.values()):
+        for k2, c2 in gp:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    keys = []
+    coeffs = []
+    for k, c in acc.items():
+        c %= p
+        if c:
+            keys.append(k)
+            coeffs.append(c)
+    cols = [[(k >> s) & mask for k in keys] for s, mask in fields]
+    out = dict(zip(zip(*cols), coeffs))
     return Poly._make(f.n, p, out)
 
 
@@ -289,6 +331,13 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     leading term of the remainder against the leading term of g.  Because
     only leading terms are reduced, a nonzero final remainder (equivalently,
     a leading monomial not divisible by g's) proves f is not a multiple of g.
+
+    Internally a monomial of degree d is packed as the int
+    (d << n*w) - sum(a_j << j*w), with w bits per field, enough for every
+    exponent of f and g.  No remainder term has a larger degree than f's
+    lead, so no field carries: the packed ints add like exponent vectors
+    and order like grevlex.  Only each popped lead is unpacked, to decide
+    divisibility field by field.
     """
     _same_ring(f, g)
     if not g.terms:
@@ -296,41 +345,48 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     if not f.terms:
         return Poly._make(f.n, f.p, {})
     p = f.p
+    w = max(f.degree(), g.degree()).bit_length()
+    top = f.n * w
+    mask = (1 << w) - 1
+    shifts = [j * w for j in range(f.n)]
+
+    def pack(m: Monomial) -> int:
+        return (sum(m) << top) - sum(a << s for a, s in zip(m, shifts))
+
     glead = max(g.terms, key=grevlex_key)
+    gkey = pack(glead)
     ginv = pow(g.terms[glead], p - 2, p)
-    gtail = [(m, c) for m, c in g.terms.items() if m != glead]
-    rem = dict(f.terms)
-    heap = [(_negkey(m), m) for m in rem]
+    gtail = [(pack(m), c) for m, c in g.terms.items() if m != glead]
+    rem = {pack(m): c for m, c in f.terms.items()}
+    # A min-heap of negated keys pops the grevlex-largest monomial.
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     quo: Terms = {}
     while rem:
         # Pop until we hit a monomial still live in the remainder; stale
         # entries are left over from coefficients that cancelled to zero.
         while True:
-            _, m = heapq.heappop(heap)
-            if m in rem:
+            k = -heapq.heappop(heap)
+            if k in rem:
                 break
-        c = rem.pop(m)
+        c = rem.pop(k)
+        low = (-(-k >> top) << top) - k  # the packed exponents, degree removed
+        m = tuple((low >> s) & mask for s in shifts)
         if any(a < b for a, b in zip(m, glead)):
             raise NotDivisible(f"leading monomial {m} is not a multiple of {glead}")
-        qm = tuple(a - b for a, b in zip(m, glead))
+        qk = k - gkey
         qc = c * ginv % p
-        quo[qm] = qc
-        for tm, tc in gtail:
-            u = tuple(a + b for a, b in zip(qm, tm))
+        quo[tuple(a - b for a, b in zip(m, glead))] = qc
+        for tk, tc in gtail:
+            u = qk + tk
             v = (rem.get(u, 0) - qc * tc) % p
             if v:
                 if u not in rem:
-                    heapq.heappush(heap, (_negkey(u), u))
+                    heapq.heappush(heap, -u)
                 rem[u] = v
             else:
                 rem.pop(u, None)
     return Poly._make(f.n, p, quo)
-
-
-def _negkey(m: Monomial) -> Tuple[int, Tuple[int, ...]]:
-    # Negated grevlex key, so the min-heap pops the grevlex-largest monomial.
-    return (-sum(m), tuple(e for e in reversed(m)))
 
 
 class Matrix:
@@ -418,27 +474,26 @@ def substitute_linear(f: Poly, mat: Matrix) -> Poly:
             f"matrix over p={mat.p} size {mat.n} cannot act on Poly(n={f.n}, p={f.p})"
         )
     n, p = f.n, f.p
-    images = []
-    for j in range(n):
-        col = {
-            tuple(1 if t == k else 0 for t in range(n)): mat.entries[k][j]
-            for k in range(n) if mat.entries[k][j]
-        }
-        images.append(Poly._make(n, p, col))
-    powers: Dict[Tuple[int, int], Poly] = {}
+    columns = list(zip(*mat.entries))
     total = Poly._make(n, p, {})
     for m, c in f.terms.items():
         prod = poly_const(c, n, p)
         for j, a in enumerate(m):
-            if a == 0:
-                continue
-            pw = powers.get((j, a))
-            if pw is None:
-                pw = poly_pow(images[j], a)
-                powers[(j, a)] = pw
-            prod = poly_mul(prod, pw)
+            if a:
+                prod = poly_mul(prod, _linear_power(p, columns[j], a))
         total = poly_add(total, prod)
     return total
+
+
+@lru_cache(maxsize=None)
+def _linear_power(p: int, column: Tuple[int, ...], a: int) -> Poly:
+    """(sum_k column[k] * xk) ** a over F_p; shared by every substitution
+    whose matrix has this column."""
+    n = len(column)
+    image = {
+        tuple(1 if t == k else 0 for t in range(n)): c for k, c in enumerate(column) if c
+    }
+    return poly_pow(Poly._make(n, p, image), a)
 
 
 def degree(f: Poly) -> int:

@@ -40,6 +40,16 @@ def rand_poly(rng, n, p, max_terms=4, max_exp=6):
     return Poly(n, p, terms)
 
 
+def schoolbook(f, g):
+    """Reference product on exponent tuples, one pair of terms at a time."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return Poly(f.n, f.p, out)
+
+
 class TestPrimality:
     def test_small_primes(self):
         assert [q for q in range(2, 60) if is_prime(q)] == [
@@ -146,6 +156,65 @@ class TestRingLaws:
             poly_mul(f, f)
 
 
+BIG = 2 ** 62
+
+
+class TestPackedMul:
+    """poly_mul packs monomials into ints internally; these fixed products
+    stress the packing and are checked against the tuple schoolbook."""
+
+    @pytest.mark.parametrize("f, g", [
+        # x2 is absent from both operands: a zero-width field
+        pytest.param(parse_poly("x1^3 + 2*x1*x3 + 4", 3, 5),
+                     parse_poly("x3^4 + 3*x1^2 + x1*x3", 3, 5), id="absent-variable"),
+        pytest.param(parse_poly("x1^5 + 2*x1^2 + 1", 1, 3),
+                     parse_poly("x1^4 + x1 + 2", 1, 3), id="one-variable"),
+        # product degree 2**63 - 2, just under EXPONENT_LIMIT
+        pytest.param(Poly(2, 3, {(BIG - 1, 0): 1, (0, BIG - 1): 2, (1, 1): 1}),
+                     Poly(2, 3, {(BIG - 2, 1): 1, (5, 0): 2, (0, 0): 1}), id="near-2**62"),
+        pytest.param(Poly(3, 7, {(BIG - 1, 0, 0): 3, (0, 0, 0): 1}),
+                     Poly(3, 7, {(0, 0, BIG - 1): 5, (BIG - 1, 0, 0): 6}), id="near-2**62-n3"),
+        pytest.param(parse_poly("3*x1^2*x2", 2, 5),
+                     parse_poly("x1 + 4*x2^3 + 2", 2, 5), id="single-term"),
+        pytest.param(parse_poly("x1 + 4*x2^3 + 2", 2, 5),
+                     parse_poly("3*x1^2*x2", 2, 5), id="single-term-right"),
+        pytest.param(parse_poly("x1^2 + x1*x2 + x2^2", 2, 2),
+                     parse_poly("x1 + x2", 2, 2), id="cancel-p2"),
+        pytest.param(parse_poly("x1^2 + 2*x1*x2 + x2^2", 2, 3),
+                     parse_poly("x1 + x2", 2, 3), id="cancel-p3"),
+    ])
+    def test_matches_schoolbook(self, f, g):
+        assert poly_mul(f, g) == schoolbook(f, g)
+
+    def test_cancelled_terms_are_dropped(self):
+        # (x1 + x2)**3 = x1^3 + x2^3 over F_3: both cross terms sum to 3 = 0
+        x = parse_poly("x1 + x2", 2, 3)
+        cube = poly_mul(poly_mul(x, x), x)
+        assert cube.terms == {(3, 0): 1, (0, 3): 1}
+        # (x1^2 + x1*x2 + x2^2)(x1 + x2) = x1^3 + x2^3 over F_2
+        f = parse_poly("x1^2 + x1*x2 + x2^2", 2, 2)
+        assert poly_mul(f, parse_poly("x1 + x2", 2, 2)).terms == {(3, 0): 1, (0, 3): 1}
+
+    def test_many_products_on_one_monomial(self):
+        # the 15 pairs (a, b) = (a', b') all land on x1^4*x2^4*x3^4, whose raw
+        # coefficient sum 15 * 4 = 60 runs far past p before it reduces to 0
+        n, p = 3, 3
+        f = Poly(n, p, {(a, b, 4 - a - b): 2 for a in range(5) for b in range(5 - a)})
+        g = Poly(n, p, {(4 - a, 4 - b, a + b): 2 for a in range(5) for b in range(5 - a)})
+        fg = poly_mul(f, g)
+        assert fg == schoolbook(f, g)
+        assert (4, 4, 4) not in fg.terms
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_products_match_schoolbook(self, p):
+        rng = random.Random(40 + p)
+        for n in (1, 2, 4):
+            for _ in range(30):
+                f = rand_poly(rng, n, p, max_terms=6, max_exp=9)
+                g = rand_poly(rng, n, p, max_terms=6, max_exp=9)
+                assert poly_mul(f, g) == schoolbook(f, g)
+
+
 class TestFrobeniusAndPow:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_frobenius_is_p_power(self, p):
@@ -203,6 +272,37 @@ class TestExactDiv:
             exact_div(x1 * x1 + x2, x1)
         with pytest.raises(NotDivisible):
             exact_div(x1 + poly_one(2, 3), x1 * x2)
+
+    @pytest.mark.parametrize("f, g", [
+        pytest.param(parse_poly("x1*x2^2 + 3*x1 + 4", 2, 5),
+                     parse_poly("x1^2 + 2*x2 + 2", 2, 5), id="inhomogeneous"),
+        pytest.param(parse_poly("x1^3 + 2*x2*x3^2 + x1", 3, 3),
+                     parse_poly("x2^2 + x1*x3 + 1", 3, 3), id="n3"),
+        pytest.param(parse_poly("x1^7 + 1", 1, 2), parse_poly("x1^3 + x1 + 1", 1, 2), id="n1"),
+        pytest.param(Poly(2, 5, {(BIG, 0): 1, (0, 1): 2}),
+                     Poly(2, 5, {(BIG - 3, 2): 3, (1, 0): 1}), id="near-2**62"),
+        pytest.param(parse_poly("3", 2, 5), parse_poly("2", 2, 5), id="constants"),
+    ])
+    def test_roundtrip_fixed(self, f, g):
+        fg = schoolbook(f, g)
+        assert exact_div(fg, g) == f
+        assert exact_div(fg, f) == g
+
+    @pytest.mark.parametrize("f, g, n", [
+        # the lead x1^2 beats x1*x2 in grevlex, so it packs to a larger int,
+        # yet it has fewer factors x2
+        pytest.param("x1^2", "x1*x2", 2, id="same-degree"),
+        pytest.param("x1^3 + x2", "x1*x2 + 1", 2, id="inhomogeneous"),
+        pytest.param("x1^5*x3 + x2", "x2^2*x3", 3, id="higher-degree"),
+    ])
+    def test_not_divisible_per_field(self, f, g, n):
+        f, g = parse_poly(f, n, 5), parse_poly(g, n, 5)
+        lead = max(f.terms, key=grevlex_key)
+        glead = max(g.terms, key=grevlex_key)
+        assert grevlex_key(lead) > grevlex_key(glead)
+        assert any(a < b for a, b in zip(lead, glead))
+        with pytest.raises(NotDivisible):
+            exact_div(f, g)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -350,6 +450,30 @@ class TestSubstitution:
             # acting by m then by k equals acting once by k @ m
             assert substitute_linear(substitute_linear(f, m), k) == \
                 substitute_linear(f, k @ m)
+
+    def test_powers_keyed_by_matrix(self):
+        # Both invertible matrices send x1 to different images and f has x1^3
+        # in every term, so one cached power of column 1 reused for the other
+        # matrix would show; the singular matrix kills x2.
+        n, p = 2, 5
+        f = parse_poly("x1^3*x2^2 + 2*x1^3 + 4*x1^3*x2", n, p)
+        mats = [Matrix(p, [[1, 0], [2, 1]]), Matrix(p, [[1, 0], [3, 1]]),
+                Matrix(p, [[1, 0], [1, 0]]), Matrix(p, [[1, 0], [2, 1]])]
+        results = []
+        for mat in mats:
+            expected = Poly(n, p, {})
+            for m, c in f.terms.items():
+                term = poly_const(c, n, p)
+                for j, a in enumerate(m):
+                    image = Poly(n, p, {tuple(int(t == k) for t in range(n)): mat.entries[k][j]
+                                        for k in range(n)})
+                    for _ in range(a):
+                        term = schoolbook(term, image)
+                expected = poly_add(expected, term)
+            results.append(substitute_linear(f, mat))
+            assert results[-1] == expected
+        assert results[0] != results[1]
+        assert results[0] == results[3]
 
     def test_identity_action(self):
         rng = random.Random(2)
