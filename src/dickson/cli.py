@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="U64",
-        help="seed for the randomized cases (default: 0)",
+        help="recorded in the report; no case depends on it (default: 0)",
     )
     parser.add_argument(
         "--format", default="text", choices=("text", "json"),

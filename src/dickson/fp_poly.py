@@ -17,6 +17,9 @@ into the next; multiplying two monomials is then one integer addition
 (packed exponent vectors, after Monagan and Pearce).  Packing never
 leaves those two functions.
 
+Also here: binomial coefficients mod p by Lucas' theorem, shared by the
+reduced powers and the invariant-dimension oracle.
+
 Values are immutable by convention: no function here mutates an input
 Poly or Matrix, and callers must not touch .terms / .entries after
 construction.  That makes sharing (memo tables, repeated references)
@@ -84,6 +87,36 @@ def require_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     return p
+
+
+def binom_mod_p(a: int, b: int, p: int) -> int:
+    """Binomial coefficient C(a, b) mod p via Lucas' theorem.
+
+    The coefficient is the product over base-p digits of C(a_t, b_t), zero
+    as soon as some digit of b exceeds the matching digit of a.
+    """
+    if b < 0 or b > a:
+        return 0
+    r = 1
+    while a or b:
+        da, db = a % p, b % p
+        if db > da:
+            return 0
+        r = r * _binom_digit(da, db, p) % p
+        a //= p
+        b //= p
+    return r
+
+
+@lru_cache(maxsize=None)
+def _binom_digit(da: int, db: int, p: int) -> int:
+    # C(da, db) mod p for digits 0 <= db <= da < p.
+    db = min(db, da - db)
+    num = den = 1
+    for t in range(1, db + 1):
+        num = num * (da - db + t) % p
+        den = den * t % p
+    return num * pow(den, p - 2, p) % p
 
 
 def grevlex_key(m: Monomial) -> Tuple[int, Tuple[int, ...]]:

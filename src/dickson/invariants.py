@@ -18,12 +18,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
     Matrix,
+    Monomial,
     Poly,
+    binom_mod_p,
     exact_div,
     frobenius,
     poly_add,
@@ -253,25 +255,75 @@ def is_invariant(f: Poly) -> bool:
     return all(substitute_linear(f, m) == f for m in gl_generators(f.n, f.p))
 
 
-def _monomials_of_degree(n: int, d: int) -> Iterator[Tuple[int, ...]]:
+def _monomials_of_degree(n: int, d: int, step: int) -> Iterator[Monomial]:
+    # Degree-d exponent tuples whose entries are all multiples of step.
     if n == 1:
-        yield (d,)
+        if d % step == 0:
+            yield (d,)
         return
-    for first in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - first):
+    for first in range(0, d + 1, step):
+        for rest in _monomials_of_degree(n - 1, d - first, step):
             yield (first,) + rest
+
+
+def _cyclic_orbits(n: int, d: int, step: int) -> Iterator[Set[Monomial]]:
+    """The orbits of the n-cycle on the monomials of _monomials_of_degree;
+    each orbit is yielded once, at its least member."""
+    for m in _monomials_of_degree(n, d, step):
+        orbit = {m[r:] + m[:r] for r in range(n)}
+        if m == min(orbit):
+            yield orbit
+
+
+def _transvection_image(m: Monomial, p: int,
+                        lucas: Dict[int, List[Tuple[int, int]]]) -> Iterator[Tuple[Monomial, int]]:
+    """The terms of (T - I) m for T = I + E_12, which sends x2 to x1 + x2:
+
+        x1**a x2**b r  ->  sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r.
+
+    lucas maps b to its nonzero (k, C(b, k) mod p), k >= 1; rows missing
+    from it are filled in, so one dict can serve many calls.
+    """
+    a, b = m[0], m[1]
+    row = lucas.get(b)
+    if row is None:
+        row = lucas[b] = [(k, c) for k in range(1, b + 1) if (c := binom_mod_p(b, k, p))]
+    rest = m[2:]
+    for k, c in row:
+        yield (a + k, b - k) + rest, c
+
+
+def _is_diagonal(m: Matrix) -> bool:
+    return all(not v for r, row in enumerate(m.entries) for c, v in enumerate(row) if r != c)
+
+
+def _is_monomial(m: Matrix) -> bool:
+    # One nonzero entry per row: m permutes and scales the variables.
+    return all(sum(1 for v in row if v) == 1 for row in m.entries)
 
 
 def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
-    Exact linear algebra: the invariants of degree d are the joint kernel of
-    the operators (substitution by M) - identity on the degree-d monomial
-    basis, M running over gl_generators.  Each basis monomial m gives one
-    sparse row, the images M(m) - m keyed by (generator index, monomial);
+    Exact linear algebra on a basis of the invariants of the monomial part
+    of gl_generators: the n-cycle C and, for p > 2, D = diag(g, 1, .., 1).
+    The conjugates of D by powers of C generate the diagonal torus, which
+    scales each monomial by a character; so the invariants of <C, D> are
+    spanned by the C-orbit sums of the monomials whose exponents are all
+    multiples of p - 1 (L. Smith, Polynomial Invariants of Finite Groups,
+    1995; Derksen and Kemper, Computational Invariant Theory, 2002).  At
+    p = 2 there is no D and every monomial counts.
+
+    The GL-invariants are the kernel of T - I on that basis, T = I + E_12
+    the one generator that is not monomial.  Each orbit sum gives one
+    sparse row, its image under T - I read off Lucas binomials
+    (x1**a x2**b r -> sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r);
     the rows are reduced mod p against pivot rows stored under their least
-    key, and the kernel dimension is the basis size minus the rank.
-    Raises BoundExceeded when the basis is larger than bound.
+    monomial, and the dimension is the number of orbits minus the rank.
+    At n = 1 there is no T, and every orbit sum is invariant.
+
+    bound caps the full degree-d monomial basis, C(d + n - 1, n - 1)
+    elements, not the smaller orbit basis: BoundExceeded when it is larger.
     """
     require_prime(p)
     if n < 1 or d < 0:
@@ -282,13 +334,23 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
             f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
         )
     gens = gl_generators(n, p)
-    pivots = {}
-    for m in _monomials_of_degree(n, d):
-        row = {}
-        for k, mat in enumerate(gens):
-            image = dict(substitute_linear(Poly._make(n, p, {m: 1}), mat).terms)
-            image[m] = (image.get(m, 0) - 1) % p
-            row.update(((k, mm), c) for mm, c in image.items() if c)
+    step = p - 1 if any(_is_diagonal(m) for m in gens) else 1
+    transvection = not all(_is_monomial(m) for m in gens)
+    orbits = 0
+    pivots: Dict[Monomial, Dict[Monomial, int]] = {}
+    lucas: Dict[int, List[Tuple[int, int]]] = {}
+    for orbit in _cyclic_orbits(n, d, step):
+        orbits += 1
+        if not transvection:
+            continue
+        row: Dict[Monomial, int] = {}
+        for m in orbit:
+            for mm, c in _transvection_image(m, p, lucas):
+                v = (row.get(mm, 0) + c) % p
+                if v:
+                    row[mm] = v
+                else:
+                    del row[mm]
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -303,7 +365,7 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
                     row[key] = v
                 else:
                     del row[key]
-    return basis_size - len(pivots)
+    return orbits - len(pivots)
 
 
 def dickson_monomial_count(n: int, p: int, d: int) -> int:

@@ -23,13 +23,15 @@ verification harness can exhibit the discrepancy with a witness.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
-from .fp_poly import (
+# binom_mod_p and _binom_digit live in fp_poly and keep their names here.
+from .fp_poly import (  # noqa: F401
     EXPONENT_LIMIT,
     Monomial,
     Poly,
+    _binom_digit,
+    binom_mod_p,
     frobenius,
     poly_add,
     poly_mul,
@@ -39,36 +41,6 @@ from .fp_poly import (
     poly_zero,
 )
 from .invariants import L, P_coef, R_coef, _sign_unit, bracket, dickson_Q
-
-
-def binom_mod_p(a: int, b: int, p: int) -> int:
-    """Binomial coefficient C(a, b) mod p via Lucas' theorem.
-
-    The coefficient is the product over base-p digits of C(a_t, b_t), zero
-    as soon as some digit of b exceeds the matching digit of a.
-    """
-    if b < 0 or b > a:
-        return 0
-    r = 1
-    while a or b:
-        da, db = a % p, b % p
-        if db > da:
-            return 0
-        r = r * _binom_digit(da, db, p) % p
-        a //= p
-        b //= p
-    return r
-
-
-@lru_cache(maxsize=None)
-def _binom_digit(da: int, db: int, p: int) -> int:
-    # C(da, db) mod p for digits 0 <= db <= da < p.
-    db = min(db, da - db)
-    num = den = 1
-    for t in range(1, db + 1):
-        num = num * (da - db + t) % p
-        den = den * t % p
-    return num * pow(den, p - 2, p) % p
 
 
 def _bounded_compositions(caps: Tuple[int, ...], k: int) -> Iterator[Tuple[int, ...]]:

@@ -8,17 +8,17 @@ or, for the report-only i = n + 3 corollary, passes with a flag and a
 witness when the tabulated composite disagrees with the direct action.
 
 Reports serialize deterministically: emitting the same Report twice gives
-identical bytes, and two grid runs with the same configuration and seed
-agree everywhere except the per-case timings.
+identical bytes, and two grid runs with the same configuration agree
+everywhere except the per-case timings.  No case is randomized: the seed
+is only recorded in the report.
 """
 from __future__ import annotations
 
 import json
 import os
-import random
 import time
-import zlib
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
@@ -61,7 +61,6 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = (
 DEFAULT_TERM_BUDGET = 10 ** 7
 DEFAULT_TIME_BUDGET = 60.0
 DEFAULT_D_MAX = 30
-RECURSION_TRIALS = 200
 TERM_BUDGET_ENV = "DICKSON_TERM_BUDGET"
 
 
@@ -77,7 +76,6 @@ class CaseSpec:
     s: Optional[int] = None
     i: Optional[int] = None
     d: Optional[int] = None
-    seed: int = 0
     perturb: bool = False  # self-test hook: falsify the identity on purpose
 
 
@@ -191,17 +189,17 @@ def _flag_only(check: _Check) -> _Check:
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    rng = random.Random(spec.seed)
+    """Every recursion instance [prefix, e + n] in the box: each prefix
+    entry in 0..3 and e in 0..2."""
     n, p = spec.n, spec.p
-    for _ in range(RECURSION_TRIALS):
-        budget.checkpoint()
-        prefix = tuple(rng.randint(0, 3) for _ in range(n - 1))
-        e = rng.randint(0, 2)
-        lhs = bracket(n, prefix + (e + n,), p)
-        rhs = recursion_rhs(n, prefix, e, p)
-        budget.guard(lhs, rhs)
-        if lhs != rhs:
-            return _compare(lhs, rhs)
+    for prefix in product(range(4), repeat=n - 1):
+        for e in range(3):
+            budget.checkpoint()
+            lhs = bracket(n, prefix + (e + n,), p)
+            rhs = recursion_rhs(n, prefix, e, p)
+            budget.guard(lhs, rhs)
+            if lhs != rhs:
+                return _compare(lhs, rhs)
     return True, False, None
 
 
@@ -362,12 +360,6 @@ def run_case(
     )
 
 
-def _case_seed(config_seed: int, theorem: str, p: int, n: int,
-               s: Optional[int], i: Optional[int], d: Optional[int]) -> int:
-    tag = f"{theorem}:{p}:{n}:{s}:{i}:{d}".encode()
-    return (zlib.crc32(tag) ^ (config_seed & 0xFFFFFFFF)) & 0xFFFFFFFF
-
-
 def grid_cases(config: GridConfig) -> List[CaseSpec]:
     """The deterministic, canonically ordered case list for a configuration."""
     cases: List[CaseSpec] = []
@@ -379,17 +371,10 @@ def grid_cases(config: GridConfig) -> List[CaseSpec]:
             ]
             i_top = config.i_max if config.i_max is not None else n + 4
             for s, i, d in _FAMILIES[theorem].coords(n, s_range, i_top, config.d_max):
-                cases.append(CaseSpec(
-                    theorem=theorem, p=p, n=n, s=s, i=i, d=d,
-                    seed=_case_seed(config.seed, theorem, p, n, s, i, d),
-                ))
+                cases.append(CaseSpec(theorem=theorem, p=p, n=n, s=s, i=i, d=d))
     if config.inject_failure:
         p, n = config.pairs[0]
-        cases.append(CaseSpec(
-            theorem="q0-power", p=p, n=n,
-            seed=_case_seed(config.seed, "q0-power", p, n, None, None, None),
-            perturb=True,
-        ))
+        cases.append(CaseSpec(theorem="q0-power", p=p, n=n, perturb=True))
     return cases
 
 

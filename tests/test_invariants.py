@@ -1,5 +1,6 @@
 """Bracket determinants, Dickson invariants, GL machinery, dimension counts."""
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from dickson.fp_poly import (
 )
 from dickson.invariants import (
     BoundExceeded,
+    _transvection_image,
     L,
     P_coef,
     R_coef,
@@ -32,6 +34,44 @@ from dickson.invariants import (
 )
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
+
+
+def monomials(n, d):
+    return [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of sparse rows (dicts), by dense Gauss-Jordan elimination."""
+    keys = sorted({k for row in rows for k in row})
+    mat = [[row.get(k, 0) for k in keys] for row in rows]
+    rank = 0
+    for col in range(len(keys)):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def joint_kernel_dimension(n, p, d):
+    """Reference for invariant_space_dimension on the full degree-d basis:
+    the kernel of m -> (M(m) - m for every M in gl_generators)."""
+    rows = []
+    for m in monomials(n, d):
+        mono = Poly(n, p, {m: 1})
+        row = {}
+        for k, mat in enumerate(gl_generators(n, p)):
+            image = substitute_linear(mono, mat) - mono
+            row.update(((k, mm), c) for mm, c in image.terms.items())
+        rows.append(row)
+    return len(rows) - rank_mod_p(rows, p)
 
 
 class TestBracket:
@@ -231,6 +271,20 @@ class TestGLGroup:
         assert len(gl_generators(3, 3)) == 3
         assert len(gl_generators(4, 2)) == 2
 
+    def test_generators_pinned(self):
+        # the dimension oracle reads its cases off these exact matrices
+        def mats(p, *rows):
+            return tuple(Matrix(p, m) for m in rows)
+
+        t2, c2 = [[1, 1], [0, 1]], [[0, 1], [1, 0]]
+        t3, c3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert gl_generators(1, 2) == ()
+        assert gl_generators(1, 3) == mats(3, [[2]])
+        assert gl_generators(2, 2) == mats(2, t2, c2)
+        assert gl_generators(2, 3) == mats(3, t2, c2, [[2, 0], [0, 1]])
+        assert gl_generators(3, 2) == mats(2, t3, c3)
+        assert gl_generators(3, 3) == mats(3, t3, c3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
     def test_generators_invertible(self):
         for (p, n) in [(2, 2), (3, 2), (5, 2), (2, 3)]:
             for m in gl_generators(n, p):
@@ -302,12 +356,32 @@ class TestDimensions:
         pytest.param(2, 2, 12, id="2-2"),
         pytest.param(3, 2, 12, id="3-2"),
         pytest.param(2, 3, 12, id="2-3"),
-        pytest.param(3, 3, 27, id="3-3"),
+        pytest.param(3, 3, 40, id="3-3"),
+        pytest.param(3, 5, 60, id="3-5"),
     ])
     def test_matches_monomial_count(self, n, p, d_max):
-        # (3, 3) is the only case at odd p with n >= 3
+        # (3, 3) and (5, 3) are the cases at odd p with n >= 3
         for d in range(d_max + 1):
             assert invariant_space_dimension(n, p, d) == dickson_monomial_count(n, p, d)
+
+    @pytest.mark.parametrize("p,n,d_max", [
+        (2, 1, 10), (3, 1, 10), (2, 2, 14), (2, 3, 14), (3, 2, 14),
+        (5, 2, 14), (7, 2, 14), (3, 3, 18),
+    ])
+    def test_matches_joint_kernel(self, p, n, d_max):
+        for d in range(d_max + 1):
+            assert invariant_space_dimension(n, p, d) == joint_kernel_dimension(n, p, d), d
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    def test_transvection_image(self, p, n):
+        # the Lucas closed form against substitution by I + E_12
+        t = Matrix(p, [[int(a == b or (a, b) == (0, 1)) for b in range(n)] for a in range(n)])
+        lucas = {}
+        for d in range(8):
+            for m in monomials(n, d):
+                mono = Poly(n, p, {m: 1})
+                image = Poly(n, p, dict(_transvection_image(m, p, lucas)))
+                assert image == substitute_linear(mono, t) - mono, m
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):

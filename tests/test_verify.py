@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from dickson import verify
 from dickson.cli import main
 from dickson.fp_poly import parse_poly
+from dickson.invariants import recursion_rhs
 from dickson.verify import (
     CaseSpec,
     GridConfig,
@@ -56,11 +58,25 @@ class TestGridCases:
         b = grid_cases(GridConfig(seed=3))
         assert a == b
 
-    def test_seed_feeds_cases(self):
-        a = grid_cases(GridConfig(theorems=("recursion",), seed=1))
-        b = grid_cases(GridConfig(theorems=("recursion",), seed=2))
-        assert [c.seed for c in a] != [c.seed for c in b]
-        assert [(c.theorem, c.p, c.n) for c in a] == [(c.theorem, c.p, c.n) for c in b]
+    def test_recursion_is_exhaustive_and_seed_free(self, monkeypatch):
+        # the (2,3) case checks each (prefix, e) of the box once: prefix
+        # entries 0..3, e <= 2, 48 instances
+        checked = []
+
+        def spy(n, prefix, e, p):
+            checked.append((n, prefix, e, p))
+            return recursion_rhs(n, prefix, e, p)
+
+        monkeypatch.setattr(verify, "recursion_rhs", spy)
+        assert run_case(CaseSpec(theorem="recursion", p=2, n=3)).passed
+        box = [(3, (a, b), e, 2) for a in range(4) for b in range(4) for e in range(3)]
+        assert sorted(checked) == box
+        # no case depends on the seed
+        a, b = (strip_timing(report_to_dict(run_grid(GridConfig(
+            theorems=("recursion", "hilbert"), pairs=((2, 3), (3, 2)), d_max=8,
+            seed=seed)))) for seed in (1, 2))
+        assert (a.pop("seed"), b.pop("seed")) == (1, 2)
+        assert a == b
 
     def test_scope_filters(self):
         cases = grid_cases(GridConfig(
