@@ -93,7 +93,6 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
     return Poly._make(n, p, terms)
 
 
-@lru_cache(maxsize=None)
 def L(n: int, s: int, p: int) -> Poly:
     """The bracket over 0..n with s omitted; L(n, n) is the base bracket L_n."""
     if not 0 <= s <= n:

@@ -15,22 +15,22 @@ independent routes:
   * st_delta_via_dl2: a single bracket determinant times L_n**(p-2);
   * st_delta_via_main: (-1)**n Q_{n,0} (R_{n,i}**p Q_{n,s} - P_{n,i,s}**p).
 
-The minus sign on the P-term in the second form is forced by the classical
-values of the operations in the range 1 <= i <= n (it is invisible at
-p = 2).  The variant with a plus sign there fails at odd primes; the
-corollary builder for i = n + 3 keeps that variant on purpose so that the
-verification harness can exhibit the discrepancy with a witness.
+The second form is written once, in _main_form; the corollaries for
+i = n + 1, n + 2, n + 3 are table rows (R, P, sign) that it assembles, R
+and P tabulated in the Dickson generators.  The minus sign on the P-term
+is forced by the classical values in the range 1 <= i <= n (it is
+invisible at p = 2).  The i = n + 3 row keeps the tabulated plus sign on
+purpose, its only difference from the main form, so that the harness can
+exhibit the discrepancy at odd primes with a witness.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
-# binom_mod_p and _binom_digit live in fp_poly and keep their names here.
-from .fp_poly import (  # noqa: F401
+from .fp_poly import (
     EXPONENT_LIMIT,
     Monomial,
     Poly,
-    _binom_digit,
     binom_mod_p,
     frobenius,
     poly_add,
@@ -136,6 +136,17 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
     return poly_scale(value, _sign_unit(n, p))
 
 
+def _main_form(n: int, s: int, p: int, R: Poly, P: Poly, sign: int) -> Poly:
+    """(-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p), for sign = +1 or -1.
+
+    The one shape of the main theorem and of its corollaries; they differ
+    only in the R, P and sign they put in.
+    """
+    combine = poly_add if sign == 1 else poly_sub
+    inner = combine(poly_mul(frobenius(R, 1), dickson_Q(n, s, p)), frobenius(P, 1))
+    return poly_scale(poly_mul(dickson_Q(n, 0, p), inner), _sign_unit(n, p))
+
+
 def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
     """Closed form for st_delta(Q_{n,s}, i) in Dickson generators:
 
@@ -149,12 +160,7 @@ def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    q0 = dickson_Q(n, 0, p)
-    inner = poly_sub(
-        poly_mul(frobenius(R_coef(n, i, p), 1), dickson_Q(n, s, p)),
-        frobenius(P_coef(n, i, s, p), 1),
-    )
-    return poly_scale(poly_mul(q0, inner), _sign_unit(n, p))
+    return _main_form(n, s, p, R_coef(n, i, p), P_coef(n, i, s, p), -1)
 
 
 def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
@@ -177,17 +183,49 @@ def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
     return poly_zero(n, p)
 
 
-def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -> Poly:
-    """Explicit right-hand sides for the low Frobenius-twist closed forms.
+# The corollary rows (R, P, sign) for i = n + 1, n + 2, n + 3, as tabulated;
+# q(t, e) is Q_{n,t}**(p**e), zero for t < 0.
+_Row = Tuple[Poly, Poly, int]
 
-    which = "n+1":  (-1)**n Q_{n,0} (-Q_{n,s-1}**p + Q_{n,n-1}**p Q_{n,s})
-    which = "n+2":  (-1)**n Q_{n,0} (Q_{n,s-2}**p2 - Q_{n,s-1}**p Q_{n,n-1}**p2
-                      + (Q_{n,n-1}**(p2+p) - Q_{n,n-2}**p2) Q_{n,s})
-    which = "n+3":  (-1)**n Q_{n,0} (Phat**p + Rhat**p Q_{n,s}), with Phat and
-                    Rhat the tabulated i = n + 3 bracket quotients.  The
-                    composite keeps the plus sign on the Phat term as
-                    tabulated, so at odd primes it disagrees with the other
-                    routes; the harness reports that rather than failing.
+
+def _row_n1(q: Callable[..., Poly], n: int, s: int) -> _Row:
+    return q(n - 1), q(s - 1), -1
+
+
+def _row_n2(q: Callable[..., Poly], n: int, s: int) -> _Row:
+    rr = poly_sub(poly_mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))
+    pp = poly_sub(poly_mul(q(s - 1), q(n - 1, 1)), q(s - 2, 1))
+    return rr, pp, -1
+
+
+def _row_n3(q: Callable[..., Poly], n: int, s: int) -> _Row:
+    phat = poly_sub(q(s - 3, 2), poly_mul(q(s - 2, 1), q(n - 1, 2)))
+    phat = poly_sub(phat, poly_mul(q(s - 1), q(n - 2, 2)))
+    phat = poly_add(phat, poly_mul(q(s - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
+    rhat = poly_sub(q(n - 3, 2), poly_mul(q(n - 2, 2), q(n - 1)))
+    rhat = poly_sub(rhat, poly_mul(q(n - 2, 1), q(n - 1, 2)))
+    rhat = poly_add(rhat, poly_mul(q(n - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
+    # The corollary as published adds Phat**p; the theorem subtracts it.
+    return rhat, phat, +1
+
+
+_COROLLARY_ROWS = {"n+1": _row_n1, "n+2": _row_n2, "n+3": _row_n3}
+
+
+def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -> Poly:
+    """Tabulated right-hand sides of the corollaries of the main theorem.
+
+    which = "n+k" (k = 1, 2, 3): the main form
+        (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p)
+    at the row (R, P, sign) tabulated for i = n + k:
+        n+1:  R = Q_{n,n-1},  P = Q_{n,s-1},  sign -1;
+        n+2:  R = Q_{n,n-1} Q_{n,n-1}**p - Q_{n,n-2}**p,
+              P = Q_{n,s-1} Q_{n,n-1}**p - Q_{n,s-2}**p,  sign -1;
+        n+3:  R = Rhat, P = Phat, the tabulated i = n + 3 quotients,  sign +1.
+    Each R and P equals R_coef(n, n + k) and P_coef(n, n + k, s), so the
+    rows differ from st_delta_via_main only in the n+3 sign.  It is kept as
+    tabulated: at odd primes that row disagrees with the other routes, and
+    the harness reports it rather than failing.
     which = "kernel" (needs i): the value of st_delta(Q_{n,0}**(p-1) Q_{n,s}, i),
                     namely (-1)**(n+1) (Q_{n,0} P_{n,i,s})**p, a p-th power up
                     to sign and hence killed by a second application.
@@ -196,47 +234,16 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     """
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
+    row = _COROLLARY_ROWS.get(which)
+    if row is not None:
+        def q(t: int, e: int = 0) -> Poly:
+            return frobenius(dickson_Q(n, t, p), e)
 
-    def q(t: int) -> Poly:
-        return dickson_Q(n, t, p)
-
-    sign_n = _sign_unit(n, p)
-    if which == "n+1":
-        inner = poly_sub(
-            poly_mul(frobenius(q(n - 1), 1), q(s)),
-            frobenius(q(s - 1), 1),
-        )
-        return poly_scale(poly_mul(q(0), inner), sign_n)
-    if which == "n+2":
-        inner = poly_sub(frobenius(q(s - 2), 2),
-                         poly_mul(frobenius(q(s - 1), 1), frobenius(q(n - 1), 2)))
-        twist = poly_sub(
-            poly_mul(frobenius(q(n - 1), 2), frobenius(q(n - 1), 1)),
-            frobenius(q(n - 2), 2),
-        )
-        inner = poly_add(inner, poly_mul(twist, q(s)))
-        return poly_scale(poly_mul(q(0), inner), sign_n)
-    if which == "n+3":
-        phat = poly_sub(frobenius(q(s - 3), 2),
-                        poly_mul(frobenius(q(s - 2), 1), frobenius(q(n - 1), 2)))
-        phat = poly_sub(phat, poly_mul(q(s - 1), frobenius(q(n - 2), 2)))
-        phat = poly_add(
-            phat,
-            poly_mul(q(s - 1), poly_mul(frobenius(q(n - 1), 2), frobenius(q(n - 1), 1))),
-        )
-        rhat = poly_sub(frobenius(q(n - 3), 2),
-                        poly_mul(frobenius(q(n - 2), 2), q(n - 1)))
-        rhat = poly_sub(rhat, poly_mul(frobenius(q(n - 2), 1), frobenius(q(n - 1), 2)))
-        rhat = poly_add(
-            rhat,
-            poly_mul(q(n - 1), poly_mul(frobenius(q(n - 1), 2), frobenius(q(n - 1), 1))),
-        )
-        inner = poly_add(frobenius(phat, 1), poly_mul(frobenius(rhat, 1), q(s)))
-        return poly_scale(poly_mul(q(0), inner), sign_n)
+        return _main_form(n, s, p, *row(q, n, s))
     if which == "kernel":
         if i is None:
             raise ValueError("the kernel form needs the operation index i")
-        value = frobenius(poly_mul(q(0), P_coef(n, i, s, p)), 1)
+        value = frobenius(poly_mul(dickson_Q(n, 0, p), P_coef(n, i, s, p)), 1)
         return poly_scale(value, _sign_unit(n + 1, p))
     raise ValueError(f"unknown corollary {which!r}; use n+1, n+2, n+3, or kernel")
 
@@ -245,23 +252,15 @@ def sign_convention_flag(p: int = 3, n: int = 2) -> int:
     """Empirical pin of the sign convention st_delta(xj) = +xj**(p**i).
 
     Evaluates st_delta(Q_{n,s}, s) for 0 < s < n and compares with the
-    classical value (-1)**(s-1) Q_{n,0}.  Returns +1 if every case matches,
-    -1 if every case matches after a global negation (the opposite
-    convention), and raises if neither convention fits.
+    classical value smith_switzer_value(n, s, s, p).  Returns +1 if every
+    case matches, -1 if every case matches after a global negation (the
+    opposite convention), and raises if neither convention fits.
     """
-    require_odd_check = [(s, st_delta(dickson_Q(n, s, p), s)) for s in range(1, n)]
-    if not require_odd_check:
+    pairs = [(st_delta(dickson_Q(n, s, p), s), smith_switzer_value(n, s, s, p))
+             for s in range(1, n)]
+    if not pairs:
         raise ValueError(f"need n >= 2 for the pin, got n = {n}")
-    plus = all(
-        got == poly_scale(dickson_Q(n, 0, p), _sign_unit(s - 1, p))
-        for s, got in require_odd_check
-    )
-    if plus:
-        return 1
-    minus = all(
-        got == poly_scale(dickson_Q(n, 0, p), _sign_unit(s, p))
-        for s, got in require_odd_check
-    )
-    if minus:
-        return -1
+    for sign in (1, -1):
+        if all(got == poly_scale(want, sign) for got, want in pairs):
+            return sign
     raise ArithmeticError("neither sign convention matches the classical values")

@@ -16,8 +16,9 @@ from dickson.fp_poly import (
     poly_zero,
     Poly,
 )
-from dickson.invariants import P_coef, dickson_Q
+from dickson.invariants import P_coef, R_coef, dickson_Q
 from dickson.steenrod import (
+    _COROLLARY_ROWS,
     binom_mod_p,
     corollary_rhs,
     sign_convention_flag,
@@ -265,6 +266,20 @@ class TestCorollaryForms:
         for s in range(n):
             assert st_delta(dickson_Q(n, s, p), n + 2) == \
                 corollary_rhs("n+2", n, s, p)
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (2, 4)])
+    def test_rows_are_the_bracket_quotients(self, p, n):
+        # Each tabulated row holds R_{n,n+k} and P_{n,n+k,s} exactly; only the
+        # n+3 sign departs from the minus of the main theorem.
+        def q(t, e=0):
+            return frobenius(dickson_Q(n, t, p), e)
+
+        for k, want_sign in [(1, -1), (2, -1), (3, 1)]:
+            for s in range(n):
+                rr, pp, sign = _COROLLARY_ROWS[f"n+{k}"](q, n, s)
+                assert rr == R_coef(n, n + k, p)
+                assert pp == P_coef(n, n + k, s, p)
+                assert sign == want_sign
 
     def test_three_past_rank_even_prime(self):
         for (p, n) in [(2, 2), (2, 3)]:
