@@ -22,6 +22,15 @@ is forced by the classical values in the range 1 <= i <= n (it is
 invisible at p = 2).  The i = n + 3 row keeps the tabulated plus sign on
 purpose, its only difference from the main form, so that the harness can
 exhibit the discrepancy at odd primes with a witness.
+
+Every closed form is assembled from the brackets behind the Dickson
+invariants, through the two identities Q_{n,0} = L_n**(p-1) and
+Q_{n,s} L_n = L(n, s).  The main form becomes
+(-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p), whose bracketed sum is
+the n!-term bracket [0, .., s omitted, .., n-1, i] whenever the theorem
+holds: it cancels as it is formed, where multiplying the wide sum
+R**p Q_{n,s} - P**p by Q_{n,0} would build it in full first.  The kernel
+form takes (Q_{n,0} P)**p as (L_n**(p-2) (L_n P))**p the same way.
 """
 from __future__ import annotations
 
@@ -132,19 +141,35 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     entries = tuple(k for k in range(n) if k != s) + (i,)
-    value = poly_mul(bracket(n, entries, p), poly_pow(L(n, n, p), p - 2))
+    value = poly_mul(bracket(n, entries, p), _L_pow(n, p))
     return poly_scale(value, _sign_unit(n, p))
+
+
+def _L_pow(n: int, p: int) -> Poly:
+    """L_n**(p-2): what is left of Q_{n,0} = L_n**(p-1) once one factor L_n
+    has cleared the denominator of a bracket quotient."""
+    return poly_pow(L(n, n, p), p - 2)
 
 
 def _main_form(n: int, s: int, p: int, R: Poly, P: Poly, sign: int) -> Poly:
     """(-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p), for sign = +1 or -1.
 
     The one shape of the main theorem and of its corollaries; they differ
-    only in the R, P and sign they put in.
+    only in the R, P and sign they put in.  It is computed as
+
+        (-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p),
+
+    by Q_{n,0} = L_n**(p-1) and Q_{n,s} L_n = L(n, s).  When (R, P, sign)
+    satisfies the theorem the bracketed sum is the n!-term bracket
+    [0, .., s omitted, .., n-1, i], so each product cancels as it is formed
+    and none is wider than |R| n! or |P| n! term pairs.  In the order
+    written, R**p Q_{n,s} - P**p is built in full (38,596 terms at
+    (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0} cancels it down.
     """
     combine = poly_add if sign == 1 else poly_sub
-    inner = combine(poly_mul(frobenius(R, 1), dickson_Q(n, s, p)), frobenius(P, 1))
-    return poly_scale(poly_mul(dickson_Q(n, 0, p), inner), _sign_unit(n, p))
+    inner = combine(poly_mul(frobenius(R, 1), L(n, s, p)),
+                    poly_mul(L(n, n, p), frobenius(P, 1)))
+    return poly_scale(poly_mul(_L_pow(n, p), inner), _sign_unit(n, p))
 
 
 def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
@@ -230,6 +255,13 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
                     namely (-1)**(n+1) (Q_{n,0} P_{n,i,s})**p, a p-th power up
                     to sign and hence killed by a second application.
 
+    Both are assembled from brackets (see _main_form): Q_{n,0} = L_n**(p-1)
+    and Q_{n,s} L_n = L(n, s) turn the main form into
+    (-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p), and the kernel form's
+    Q_{n,0} P into L_n**(p-2) (L_n P), where L_n P is the n!-term bracket
+    that P is the quotient of.  So each product cancels at once instead of
+    passing through a wide sum.
+
     Out-of-range Dickson indices follow the Q_{n,t} = 0 (t < 0) convention.
     """
     if not 0 <= s < n:
@@ -243,7 +275,8 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     if which == "kernel":
         if i is None:
             raise ValueError("the kernel form needs the operation index i")
-        value = frobenius(poly_mul(dickson_Q(n, 0, p), P_coef(n, i, s, p)), 1)
+        value = frobenius(
+            poly_mul(_L_pow(n, p), poly_mul(L(n, n, p), P_coef(n, i, s, p))), 1)
         return poly_scale(value, _sign_unit(n + 1, p))
     raise ValueError(f"unknown corollary {which!r}; use n+1, n+2, n+3, or kernel")
 

@@ -25,6 +25,7 @@ from ._version import __version__
 from .fp_poly import (
     Poly,
     format_poly,
+    frobenius,
     grevlex_key,
     poly_add,
     poly_const,
@@ -45,6 +46,7 @@ from .invariants import (
     recursion_rhs,
 )
 from .steenrod import (
+    _L_pow,
     corollary_rhs,
     sign_convention_flag,
     smith_switzer_value,
@@ -205,7 +207,9 @@ def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
 
 def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
     n, s, i, p = spec.n, spec.s, spec.i, spec.p
-    base = poly_mul(poly_pow(dickson_Q(n, 0, p), p - 1), dickson_Q(n, s, p))
+    # Q_{n,0}**(p-1) Q_{n,s} = L_n**(p(p-2)) L(n, s), as Q_{n,0} = L_n**(p-1)
+    # and Q_{n,s} L_n = L(n, s).
+    base = poly_mul(frobenius(_L_pow(n, p), 1), L(n, s, p))
     budget.guard(base)
     once = st_delta(base, i)
     budget.guard(once)

@@ -7,6 +7,7 @@ import pytest
 from dickson.fp_poly import (
     frobenius,
     parse_poly,
+    poly_add,
     poly_mul,
     poly_one,
     poly_pow,
@@ -16,9 +17,11 @@ from dickson.fp_poly import (
     poly_zero,
     Poly,
 )
+from dickson import steenrod, verify
 from dickson.invariants import P_coef, R_coef, dickson_Q
 from dickson.steenrod import (
     _COROLLARY_ROWS,
+    _main_form,
     binom_mod_p,
     corollary_rhs,
     sign_convention_flag,
@@ -254,6 +257,17 @@ class TestLowRangeTable:
             sign_convention_flag(p=3, n=1)
 
 
+def q_main_form(n, s, p, R, P, sign):
+    """The main form in the order written, on the Dickson invariants:
+    (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p)."""
+    inner = poly_add(poly_mul(frobenius(R, 1), dickson_Q(n, s, p)),
+                     poly_scale(frobenius(P, 1), sign % p))
+    return poly_scale(poly_mul(dickson_Q(n, 0, p), inner), (-1) ** n % p)
+
+
+FORM_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (2, 4)]
+
+
 class TestCorollaryForms:
     @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2)])
     def test_one_past_rank(self, p, n):
@@ -280,6 +294,73 @@ class TestCorollaryForms:
                 assert rr == R_coef(n, n + k, p)
                 assert pp == P_coef(n, n + k, s, p)
                 assert sign == want_sign
+
+    @pytest.mark.parametrize("p,n", FORM_PAIRS)
+    def test_bracket_assembly_is_the_main_form(self, p, n):
+        # _main_form multiplies by L(n, s), L_n and L_n**(p-2) where the
+        # theorem reads Q_{n,s} and Q_{n,0}; both signs, so rows that do not
+        # collapse to a bracket (the n+3 row at odd p) are covered too.
+        def q(t, e=0):
+            return frobenius(dickson_Q(n, t, p), e)
+
+        for s in range(n):
+            for i in range(1, n + 4):
+                R, P = R_coef(n, i, p), P_coef(n, i, s, p)
+                inputs = [(R, P)]
+                if i > n:
+                    # The row holds the same R and P (see the test above), so
+                    # it shares the reference.
+                    inputs.append(_COROLLARY_ROWS[f"n+{i - n}"](q, n, s)[:2])
+                for sign in {1, p - 1}:  # -1 is +1 at p = 2
+                    want = q_main_form(n, s, p, R, P, sign)
+                    for rr, pp in inputs:
+                        assert _main_form(n, s, p, rr, pp, sign) == want
+
+    @pytest.mark.parametrize("p,n", FORM_PAIRS)
+    def test_kernel_form_is_the_q_form(self, p, n):
+        for s in range(n):
+            for i in range(1, n + 4):
+                want = frobenius(poly_mul(dickson_Q(n, 0, p), P_coef(n, i, s, p)), 1)
+                assert corollary_rhs("kernel", n, s, p, i=i) == \
+                    poly_scale(want, (-1) ** (n + 1) % p)
+
+    @pytest.mark.parametrize("p,n", FORM_PAIRS)
+    def test_kernel_input_is_the_q_product(self, p, n, monkeypatch):
+        # The kernel family's input, caught as the first argument it hands to
+        # st_delta, is Q_{n,0}**(p-1) Q_{n,s}.
+        seen = []
+
+        def spy(f, i):
+            seen.append(f)
+            return st_delta(f, i)
+
+        monkeypatch.setattr(verify, "st_delta", spy)
+        for s in range(n):
+            seen.clear()
+            result = verify.run_case(verify.CaseSpec("kernel", p, n, s, 1))
+            assert result.passed and not result.skipped
+            assert seen[0] == poly_mul(poly_pow(dickson_Q(n, 0, p), p - 1), dickson_Q(n, s, p))
+
+    def test_main_route_products_stay_narrow(self, monkeypatch):
+        # With R and P warm, the main route at (p, n, s, i) = (3, 3, 2, 6)
+        # multiplies only by brackets: in the order written it spends 906,541
+        # term pairs and builds a 36,853-term sum that cancels to 33 terms.
+        R_coef(3, 6, 3)
+        P_coef(3, 6, 2, 3)
+        pairs, widths = [], []
+        mul = steenrod.poly_mul
+
+        def spy(f, g):
+            h = mul(f, g)
+            pairs.append(len(f.terms) * len(g.terms))
+            widths.append(len(h.terms))
+            return h
+
+        monkeypatch.setattr(steenrod, "poly_mul", spy)
+        value = st_delta_via_main(3, 2, 6, 3)
+        assert value == st_delta(dickson_Q(3, 2, 3), 6)
+        assert sum(pairs) < 100_000
+        assert max(widths) < 20_000
 
     def test_three_past_rank_even_prime(self):
         for (p, n) in [(2, 2), (2, 3)]:
