@@ -119,13 +119,10 @@ def dickson_Q(n: int, s: int, p: int) -> Poly:
     return exact_div(L(n, s, p), L(n, n, p))
 
 
-@lru_cache(maxsize=None)
-def P_coef(n: int, i: int, s: int, p: int) -> Poly:
-    """The bracket quotient [0, .., s-1 omitted, .., n-1, i-1] / L_n.
+def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
+    """The bracket [0, .., s-1 omitted, .., n-1, i-1], zero when s = 0.
 
-    Zero when s = 0, and automatically zero whenever i - 1 collides with a
-    retained entry (the bracket then has a repeated row).  Homogeneous of
-    degree p**(i-1) - p**(s-1) otherwise.
+    P_coef divides it by L_n, so it equals L_n P_coef(n, i, s, p).
     """
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
@@ -133,8 +130,20 @@ def P_coef(n: int, i: int, s: int, p: int) -> Poly:
         raise ValueError(f"need i >= 1, got {i}")
     if s == 0:
         return poly_zero(n, p)
-    entries = tuple(k for k in range(n) if k != s - 1) + (i - 1,)
-    return exact_div(bracket(n, entries, p), L(n, n, p))
+    return bracket(n, tuple(k for k in range(n) if k != s - 1) + (i - 1,), p)
+
+
+@lru_cache(maxsize=None)
+def P_coef(n: int, i: int, s: int, p: int) -> Poly:
+    """The bracket quotient [0, .., s-1 omitted, .., n-1, i-1] / L_n, that
+    is _P_bracket(n, i, s, p) / L_n.
+
+    Zero when s = 0, and automatically zero whenever i - 1 collides with a
+    retained entry (the bracket then has a repeated row).  Homogeneous of
+    degree p**(i-1) - p**(s-1) otherwise.  A form that needs only L_n P
+    takes the bracket itself and divides nothing.
+    """
+    return exact_div(_P_bracket(n, i, s, p), L(n, n, p))
 
 
 @lru_cache(maxsize=None)

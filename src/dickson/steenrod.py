@@ -30,7 +30,9 @@ Q_{n,s} L_n = L(n, s).  The main form becomes
 the n!-term bracket [0, .., s omitted, .., n-1, i] whenever the theorem
 holds: it cancels as it is formed, where multiplying the wide sum
 R**p Q_{n,s} - P**p by Q_{n,0} would build it in full first.  The kernel
-form takes (Q_{n,0} P)**p as (L_n**(p-2) (L_n P))**p the same way.
+form takes (Q_{n,0} P)**p as (L_n**(p-2) (L_n P))**p, and L_n P is the
+bracket [0, .., s-1 omitted, .., n-1, i-1] that P is the quotient of, so
+it divides nothing and multiplies no quotient back by L_n.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from .fp_poly import (
     poly_sub,
     poly_zero,
 )
-from .invariants import L, P_coef, R_coef, _sign_unit, bracket, dickson_Q
+from .invariants import L, P_coef, R_coef, _P_bracket, _sign_unit, bracket, dickson_Q
 
 
 def _bounded_compositions(caps: Tuple[int, ...], k: int) -> Iterator[Tuple[int, ...]]:
@@ -258,9 +260,11 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     Both are assembled from brackets (see _main_form): Q_{n,0} = L_n**(p-1)
     and Q_{n,s} L_n = L(n, s) turn the main form into
     (-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p), and the kernel form's
-    Q_{n,0} P into L_n**(p-2) (L_n P), where L_n P is the n!-term bracket
-    that P is the quotient of.  So each product cancels at once instead of
-    passing through a wide sum.
+    Q_{n,0} P into L_n**(p-2) (L_n P).  So each product cancels at once
+    instead of passing through a wide sum.  The kernel form takes L_n P as
+    the n!-term bracket [0, .., s-1 omitted, .., n-1, i-1] itself
+    (_P_bracket), which P_coef divides by L_n: it needs neither that exact
+    division nor the product that would undo it.
 
     Out-of-range Dickson indices follow the Q_{n,t} = 0 (t < 0) convention.
     """
@@ -275,8 +279,7 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     if which == "kernel":
         if i is None:
             raise ValueError("the kernel form needs the operation index i")
-        value = frobenius(
-            poly_mul(_L_pow(n, p), poly_mul(L(n, n, p), P_coef(n, i, s, p))), 1)
+        value = frobenius(poly_mul(_L_pow(n, p), _P_bracket(n, i, s, p)), 1)
         return poly_scale(value, _sign_unit(n + 1, p))
     raise ValueError(f"unknown corollary {which!r}; use n+1, n+2, n+3, or kernel")
 

@@ -18,7 +18,8 @@ from dickson.fp_poly import (
     Poly,
 )
 from dickson import steenrod, verify
-from dickson.invariants import P_coef, R_coef, dickson_Q
+from dickson import invariants
+from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
     _COROLLARY_ROWS,
     _main_form,
@@ -325,6 +326,45 @@ class TestCorollaryForms:
                     poly_scale(want, (-1) ** (n + 1) % p)
 
     @pytest.mark.parametrize("p,n", FORM_PAIRS)
+    def test_p_bracket_is_l_times_p_coef(self, p, n):
+        # The bracket the kernel form takes in place of L_n P is the one
+        # P_coef divides, zero at s = 0 like P_coef.
+        for s in range(n):
+            for i in range(1, n + 4):
+                assert poly_mul(L(n, n, p), P_coef(n, i, s, p)) == _P_bracket(n, i, s, p)
+
+    def test_kernel_form_divides_nothing(self, monkeypatch):
+        # L_n P is a bracket, so the kernel form needs no quotient.  Built
+        # from a cold P_coef(4, 7, 3, 2) at (p, n, s, i) = (2, 4, 3, 7), it
+        # would divide out 8,770 terms and spend 210,480 term pairs
+        # multiplying them back by the 24-term L_4.
+        P_coef.cache_clear()
+        divisions, pairs = [], []
+        div, mul = invariants.exact_div, steenrod.poly_mul
+
+        def div_spy(f, g):
+            divisions.append((len(f.terms), len(g.terms)))
+            return div(f, g)
+
+        def mul_spy(f, g):
+            pairs.append(len(f.terms) * len(g.terms))
+            return mul(f, g)
+
+        monkeypatch.setattr(invariants, "exact_div", div_spy)
+        monkeypatch.setattr(steenrod, "poly_mul", mul_spy)
+        corollary_rhs("kernel", 4, 3, 2, i=7)
+        corollary_rhs("kernel", 3, 2, 3, i=6)
+        assert divisions == []
+        assert sum(pairs) < 1_000
+
+    def test_kernel_grid_at_five_three(self):
+        # The odd-p, n = 3 kernel cases, i <= 6.
+        report = verify.run_grid(verify.GridConfig(
+            theorems=("kernel",), pairs=((5, 3),), i_max=6))
+        assert report.summary == {"passed": 18, "failed": 0, "skipped": 0}
+        assert not any(c.flagged for c in report.cases)
+
+    @pytest.mark.parametrize("p,n", FORM_PAIRS)
     def test_kernel_input_is_the_q_product(self, p, n, monkeypatch):
         # The kernel family's input, caught as the first argument it hands to
         # st_delta, is Q_{n,0}**(p-1) Q_{n,s}.
@@ -401,6 +441,11 @@ class TestCorollaryForms:
     def test_kernel_needs_index(self):
         with pytest.raises(ValueError):
             corollary_rhs("kernel", 2, 1, 3)
+        # i = 0 is no operation index, s = 0 (where P vanishes) included
+        for (p, n) in [(3, 2), (2, 3)]:
+            for s in range(n):
+                with pytest.raises(ValueError):
+                    corollary_rhs("kernel", n, s, p, i=0)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):
