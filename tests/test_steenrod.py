@@ -17,8 +17,7 @@ from dickson.fp_poly import (
     poly_zero,
     Poly,
 )
-from dickson import steenrod, verify
-from dickson import invariants
+from dickson import invariants, steenrod, verify
 from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
     _COROLLARY_ROWS,
