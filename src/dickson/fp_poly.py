@@ -313,7 +313,9 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
         if c:
             keys.append(k)
             coeffs.append(c)
+    del acc, get  # drop the accumulator before unpacking, to lower the peak
     cols = [[(k >> s) & mask for k in keys] for s, mask in fields]
+    del keys
     out = dict(zip(zip(*cols), coeffs))
     return Poly._make(f.n, p, out)
 

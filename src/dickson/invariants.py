@@ -7,18 +7,20 @@ Dickson invariant Q_{n,s} is the exact quotient L(n, s) / L_n.  These
 quotients generate the full ring of GL(n, F_p) invariants in F_p[x1..xn],
 with Q_{n,0} equal to L_n ** (p-1).
 
-Also here: the bracket quotients P_coef and R_coef that appear in closed
-forms for the primitive Steenrod operations, the length-n recursion that
-rewrites a bracket with last entry raised by n, and exact GL(n, F_p)
-machinery (generators, enumeration, invariance tests, invariant dimension
-counts by degree).
+Also here: the length-n recursion that rewrites a bracket with last entry
+raised by n; the bracket quotients P_coef and R_coef that appear in closed
+forms for the primitive Steenrod operations, built by that recursion
+divided by L_n, so that no quotient is found by exact division; and exact
+GL(n, F_p) machinery (generators, enumeration, invariance tests, invariant
+dimension counts by degree).
 """
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
@@ -29,6 +31,7 @@ from .fp_poly import (
     exact_div,
     frobenius,
     poly_add,
+    poly_const,
     poly_mul,
     poly_one,
     poly_pow,
@@ -46,6 +49,12 @@ DIMENSION_BOUND = 5000
 
 class BoundExceeded(ValueError):
     """A configurable enumeration bound would be exceeded."""
+
+
+# The budget of the verification case being run, or None.  The quotient
+# recursion calls its before_product(f_terms, g_terms) before each product,
+# which raises to stop the case.
+case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
 def _sign_unit(k: int, p: int) -> int:
@@ -119,18 +128,46 @@ def dickson_Q(n: int, s: int, p: int) -> Poly:
     return exact_div(L(n, s, p), L(n, n, p))
 
 
-def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
-    """The bracket [0, .., s-1 omitted, .., n-1, i-1], zero when s = 0.
-
-    P_coef divides it by L_n, so it equals L_n P_coef(n, i, s, p).
-    """
+def _check_P_index(n: int, i: int, s: int) -> None:
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
+
+
+def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
+    """The bracket [0, .., s-1 omitted, .., n-1, i-1], zero when s = 0.
+
+    P_coef is its quotient by L_n, so it equals L_n P_coef(n, i, s, p).
+    """
+    _check_P_index(n, i, s)
     if s == 0:
         return poly_zero(n, p)
     return bracket(n, tuple(k for k in range(n) if k != s - 1) + (i - 1,), p)
+
+
+def _divided_recursion(n: int, i: int, p: int, quotient: Callable[[int], Poly]) -> Poly:
+    """[prefix, i-1] / L_n for i > n, given quotient(j) = [prefix, j-1] / L_n:
+
+        sum over t in 0..n-1 of (-1)**(n+t-1) quotient(i-n+t) Q_{n,t}**(p**(i-1-n))
+
+    which is recursion_rhs(n, prefix, i-1-n, p) divided by L_n.  Zero
+    quotients are skipped; the case budget, if set, is asked before each
+    product.
+    """
+    e = i - 1 - n
+    budget = case_budget.get()
+    total = poly_zero(n, p)
+    for t in range(n):
+        low = quotient(i - n + t)
+        if not low.terms:
+            continue
+        q = dickson_Q(n, t, p)
+        if budget is not None:
+            budget.before_product(len(low.terms), len(q.terms))
+        term = poly_mul(low, frobenius(q, e))
+        total = poly_add(total, poly_scale(term, _sign_unit(n + t - 1, p)))
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -140,10 +177,16 @@ def P_coef(n: int, i: int, s: int, p: int) -> Poly:
 
     Zero when s = 0, and automatically zero whenever i - 1 collides with a
     retained entry (the bracket then has a repeated row).  Homogeneous of
-    degree p**(i-1) - p**(s-1) otherwise.  A form that needs only L_n P
-    takes the bracket itself and divides nothing.
+    degree p**(i-1) - p**(s-1) otherwise.  For i <= n it is (-1)**(n-s) at
+    i = s, where the bracket is L_n with its rows permuted, and zero
+    otherwise; above n it comes from the divided recursion
+    (_divided_recursion), with no division.  A form that needs only L_n P
+    takes the bracket itself.
     """
-    return exact_div(_P_bracket(n, i, s, p), L(n, n, p))
+    _check_P_index(n, i, s)
+    if s == 0 or i <= n:
+        return poly_const(_sign_unit(n - s, p), n, p) if i == s else poly_zero(n, p)
+    return _divided_recursion(n, i, p, lambda j: P_coef(n, j, s, p))
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +194,14 @@ def R_coef(n: int, i: int, p: int) -> Poly:
     """The bracket quotient [0, 1, .., n-2, i-1] / L_n.
 
     Equals 1 at i = n, vanishes for 1 <= i <= n - 1, and is homogeneous of
-    degree p**(i-1) - p**(n-1) for i > n.
+    degree p**(i-1) - p**(n-1) for i > n, where it comes from the divided
+    recursion (_divided_recursion), with no division.
     """
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    entries = tuple(range(n - 1)) + (i - 1,)
-    return exact_div(bracket(n, entries, p), L(n, n, p))
+    if i <= n:
+        return poly_one(n, p) if i == n else poly_zero(n, p)
+    return _divided_recursion(n, i, p, lambda j: R_coef(n, j, p))
 
 
 def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
@@ -164,7 +209,8 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
 
         sum over s in 0..n-1 of (-1)**(n+s-1) [prefix, e + s] Q_{n,s}**(p**e)
 
-    which equals bracket(n, prefix + (e + n,), p) identically.
+    which equals bracket(n, prefix + (e + n,), p) identically.  A zero
+    bracket (a repeated row) is skipped before its Q factor is built.
     """
     prefix = tuple(prefix)
     if len(prefix) != n - 1:
@@ -173,10 +219,10 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
         raise ValueError(f"need e >= 0, got {e}")
     total = poly_zero(n, p)
     for s in range(n):
-        term = poly_mul(
-            bracket(n, prefix + (e + s,), p),
-            frobenius(dickson_Q(n, s, p), e),
-        )
+        low = bracket(n, prefix + (e + s,), p)
+        if not low.terms:
+            continue
+        term = poly_mul(low, frobenius(dickson_Q(n, s, p), e))
         total = poly_add(total, poly_scale(term, _sign_unit(n + s - 1, p)))
     return total
 

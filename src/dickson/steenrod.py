@@ -263,8 +263,8 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     Q_{n,0} P into L_n**(p-2) (L_n P).  So each product cancels at once
     instead of passing through a wide sum.  The kernel form takes L_n P as
     the n!-term bracket [0, .., s-1 omitted, .., n-1, i-1] itself
-    (_P_bracket), which P_coef divides by L_n: it needs neither that exact
-    division nor the product that would undo it.
+    (_P_bracket), whose quotient by L_n is P_coef: it needs neither that
+    quotient nor the product that would undo it.
 
     Out-of-range Dickson indices follow the Q_{n,t} = 0 (t < 0) convention.
     """

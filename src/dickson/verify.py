@@ -39,6 +39,7 @@ from .invariants import (
     BoundExceeded,
     L,
     bracket,
+    case_budget,
     dickson_Q,
     dickson_monomial_count,
     invariant_space_dimension,
@@ -140,6 +141,16 @@ class _Budget:
         if time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exceeded")
 
+    def before_product(self, f_terms: int, g_terms: int) -> None:
+        """Stop before a product of f_terms by g_terms terms whose term
+        pairs, a bound on its size, exceed the term budget."""
+        self.checkpoint()
+        if f_terms * g_terms > self.term_limit:
+            raise BudgetExceeded(
+                f"a product of {f_terms} by {g_terms} terms exceeds the budget "
+                f"{self.term_limit}"
+            )
+
 
 _Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
 _Check = Callable[[CaseSpec, _Budget], _Outcome]
@@ -191,17 +202,20 @@ def _flag_only(check: _Check) -> _Check:
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    """Every recursion instance [prefix, e + n] in the box: each prefix
-    entry in 0..3 and e in 0..2."""
+    """Every recursion instance [prefix, e + n] in the box (each prefix
+    entry in 0..3, e in 0..2), and at e = 3 each prefix 0..n-1 with one
+    entry left out: R_coef and P_coef divide these instances by L_n, up to
+    i = n + 4, the default top index."""
     n, p = spec.n, spec.p
-    for prefix in product(range(4), repeat=n - 1):
-        for e in range(3):
-            budget.checkpoint()
-            lhs = bracket(n, prefix + (e + n,), p)
-            rhs = recursion_rhs(n, prefix, e, p)
-            budget.guard(lhs, rhs)
-            if lhs != rhs:
-                return _compare(lhs, rhs)
+    box = [(prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)]
+    box += [(tuple(k for k in range(n) if k != left), 3) for left in range(n)]
+    for prefix, e in box:
+        budget.checkpoint()
+        lhs = bracket(n, prefix + (e + n,), p)
+        rhs = recursion_rhs(n, prefix, e, p)
+        budget.guard(lhs, rhs)
+        if lhs != rhs:
+            return _compare(lhs, rhs)
     return True, False, None
 
 
@@ -341,17 +355,22 @@ def run_case(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> CaseResult:
     """Evaluate one case.  Resource exhaustion gives skipped with a reason,
-    never failed; that includes an exponent past 2**63 (OverflowError)."""
+    never failed; that includes an exponent past 2**63 (OverflowError).
+    While the case runs, its budget is invariants.case_budget, so the
+    quotient recursion stops before a product that would break it."""
     family = _FAMILIES.get(spec.theorem)
     if family is None:
         raise ValueError(f"unknown theorem {spec.theorem!r}")
     budget = _Budget(term_budget, time_budget)
+    token = case_budget.set(budget)
     start = time.perf_counter()
     skip_reason = None
     try:
         passed, flagged, witness = family.check(spec, budget)
     except (BudgetExceeded, BoundExceeded, OverflowError) as exc:
         passed, flagged, witness, skip_reason = False, False, None, str(exc)
+    finally:
+        case_budget.reset(token)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     return CaseResult(
         spec=spec,

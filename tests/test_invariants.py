@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from dickson import invariants
 from dickson.fp_poly import (
     Matrix,
     Poly,
+    exact_div,
     parse_poly,
     poly_mul,
     poly_one,
@@ -18,6 +20,7 @@ from dickson.fp_poly import (
 )
 from dickson.invariants import (
     BoundExceeded,
+    _P_bracket,
     _transvection_image,
     L,
     P_coef,
@@ -206,6 +209,37 @@ class TestCoefficientQuotients:
         for (p, n, i, s) in [(3, 2, 4, 1), (2, 3, 5, 2), (5, 2, 3, 1)]:
             assert P_coef(n, i, s, p).degree() == p ** (i - 1) - p ** (s - 1)
             assert R_coef(n, i, p).degree() == p ** (i - 1) - p ** (n - 1)
+
+    @pytest.mark.parametrize("p,n,i_top", [
+        (2, 2, 6), (3, 2, 6), (5, 2, 6), (2, 3, 7), (3, 3, 6), (2, 4, 6),
+    ])
+    def test_recursion_gives_the_exact_quotients(self, p, n, i_top):
+        # built by the divided recursion, each is its bracket divided by L_n
+        base = L(n, n, p)
+        for i in range(1, i_top + 1):
+            r_bracket = bracket(n, tuple(range(n - 1)) + (i - 1,), p)
+            assert R_coef(n, i, p) == exact_div(r_bracket, base)
+            for s in range(n):
+                assert P_coef(n, i, s, p) == exact_div(_P_bracket(n, i, s, p), base)
+
+    def test_quotients_divide_only_inside_dickson_Q(self, monkeypatch):
+        # the quotients of st_delta_via_main(3, 2, 6, 3), built cold, divide
+        # nothing but L(3, t) by L_3
+        for fn in (R_coef, P_coef, dickson_Q):
+            fn.cache_clear()
+        divisions = []
+        div = invariants.exact_div
+
+        def spy(f, g):
+            divisions.append((f, g))
+            return div(f, g)
+
+        monkeypatch.setattr(invariants, "exact_div", spy)
+        R_coef(3, 6, 3)
+        P_coef(3, 6, 2, 3)
+        assert len(divisions) == 3
+        for t in range(3):
+            assert (L(3, t, 3), L(3, 3, 3)) in divisions
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -334,9 +334,9 @@ class TestCorollaryForms:
 
     def test_kernel_form_divides_nothing(self, monkeypatch):
         # L_n P is a bracket, so the kernel form needs no quotient.  Built
-        # from a cold P_coef(4, 7, 3, 2) at (p, n, s, i) = (2, 4, 3, 7), it
-        # would divide out 8,770 terms and spend 210,480 term pairs
-        # multiplying them back by the 24-term L_4.
+        # from P_coef(4, 7, 3, 2) at (p, n, s, i) = (2, 4, 3, 7), it would
+        # spend 210,480 term pairs multiplying its 8,770 terms back by the
+        # 24-term L_4 (and, by exact division, first divide them out).
         P_coef.cache_clear()
         divisions, pairs = [], []
         div, mul = invariants.exact_div, steenrod.poly_mul

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from dickson import verify
+from dickson import fp_poly, invariants, steenrod, verify
 from dickson.cli import main
 from dickson.fp_poly import parse_poly
-from dickson.invariants import recursion_rhs
+from dickson.invariants import P_coef, R_coef, case_budget, recursion_rhs
 from dickson.verify import (
     CaseSpec,
     GridConfig,
@@ -60,7 +60,9 @@ class TestGridCases:
 
     def test_recursion_is_exhaustive_and_seed_free(self, monkeypatch):
         # the (2,3) case checks each (prefix, e) of the box once: prefix
-        # entries 0..3, e <= 2, 48 instances
+        # entries 0..3, e <= 2, 48 instances; and the e = 3 instances of the
+        # prefixes 0..2 with one entry left out, which R_coef and P_coef use
+        # at i = n + 4
         checked = []
 
         def spy(n, prefix, e, p):
@@ -70,7 +72,8 @@ class TestGridCases:
         monkeypatch.setattr(verify, "recursion_rhs", spy)
         assert run_case(CaseSpec(theorem="recursion", p=2, n=3)).passed
         box = [(3, (a, b), e, 2) for a in range(4) for b in range(4) for e in range(3)]
-        assert sorted(checked) == box
+        box += [(3, prefix, 3, 2) for prefix in ((0, 1), (0, 2), (1, 2))]
+        assert sorted(checked) == sorted(box)
         # no case depends on the seed
         a, b = (strip_timing(report_to_dict(run_grid(GridConfig(
             theorems=("recursion", "hilbert"), pairs=((2, 3), (3, 2)), d_max=8,
@@ -145,6 +148,31 @@ class TestRunCase:
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=20), time_budget=0.0)
         assert r.skipped
         assert r.skip_reason == "time budget exceeded"
+
+    def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch):
+        # R_coef(2, 15, 3) would build a 2,391,484-term quotient; under a
+        # budget of 10**6 the recursion stops before any product has more
+        # term pairs than that
+        R_coef.cache_clear()
+        P_coef.cache_clear()
+        pairs = []
+        mul = fp_poly.poly_mul
+
+        def spy(f, g):
+            pairs.append(len(f.terms) * len(g.terms))
+            return mul(f, g)
+
+        for module in (fp_poly, invariants, steenrod, verify):
+            monkeypatch.setattr(module, "poly_mul", spy)
+        try:
+            r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
+        finally:
+            R_coef.cache_clear()
+            P_coef.cache_clear()
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
+        assert pairs and max(pairs) <= 10 ** 6
+        assert case_budget.get() is None
 
     def test_dimension_bound_skips(self):
         # a basis too large for the dimension routine reports as skipped
