@@ -1,10 +1,10 @@
-"""Tour of the exact polynomial layer: arithmetic, text form, division.
+"""Tour of the exact polynomial layer: arithmetic, text form, Frobenius,
+linear substitution.
 
 Run as a script; every claim is printed alongside the computation.
 """
 from dickson import (
     Matrix,
-    exact_div,
     format_poly,
     frobenius,
     parse_poly,
@@ -39,13 +39,6 @@ h = x1 ** 2 + poly_mul(x1, x2)
 print("h          =", format_poly(h))
 print("h^3        =", format_poly(poly_pow(h, 3)))
 print("frobenius  =", format_poly(frobenius(h, 1)), "   <- same thing, no multiplication")
-
-print()
-print("== exact division ==")
-prod = poly_mul(f, h)
-print("f * h      =", format_poly(prod))
-print("(f*h) / h  =", format_poly(exact_div(prod, h)))
-print("quotients are exact or the call raises NotDivisible")
 
 print()
 print("== linear substitution, columns carry variable images ==")

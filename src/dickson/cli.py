@@ -1,7 +1,8 @@
 """Command line front end for the verification grid.
 
-Exit codes: 0 all non-skipped cases passed, 1 at least one failure,
-2 usage error (malformed ranges abort before anything runs).
+Exit codes: 0 all non-skipped cases passed, 1 at least one failure or a
+sign pin that fits neither convention (sign flag 0; the report is still
+written), 2 usage error (malformed ranges abort before anything runs).
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with out as handle:
         report = run_grid(config)
         handle.write(emit_report(report, args.format))
-    return 0 if report.summary["failed"] == 0 else 1
+    return 0 if report.summary["failed"] == 0 and report.sign_flag else 1
 
 
 if __name__ == "__main__":

@@ -6,16 +6,16 @@ stored, so the zero polynomial is the empty dict and equality of canonical
 forms is plain dict equality.  All arithmetic is exact: coefficients are
 residues mod p, exponents are arbitrary nonneg ints below 2**63.
 
-The monomial order used everywhere (division, formatting, witnesses) is
-graded reverse lexicographic: compare total degree first, and break ties
-by the *last* position where the exponents differ, smaller exponent wins.
+The monomial order used everywhere (formatting, witnesses) is graded
+reverse lexicographic: compare total degree first, and break ties by the
+*last* position where the exponents differ, smaller exponent wins.
 
 Exponent tuples are the only stored form of a monomial.  Inside poly_mul
-and exact_div each monomial is packed into one Python int, with one bit
-field per variable, sized from the operands so that no field can carry
-into the next; multiplying two monomials is then one integer addition
-(packed exponent vectors, after Monagan and Pearce).  Packing never
-leaves those two functions.
+each monomial is packed into one Python int, with one bit field per
+variable, sized from the operands so that no field can carry into the
+next; multiplying two monomials is then one integer addition (packed
+exponent vectors, after Monagan and Pearce).  Packing never leaves that
+function.
 
 Also here: binomial coefficients mod p by Lucas' theorem, shared by the
 reduced powers and the invariant-dimension oracle.
@@ -27,7 +27,6 @@ safe without defensive copying.
 """
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -40,10 +39,6 @@ EXPONENT_LIMIT = 2 ** 63
 
 class ShapeError(ValueError):
     """Operands live in different rings (mismatched variable count or p)."""
-
-
-class NotDivisible(ArithmeticError):
-    """Exact division was requested but no exact quotient exists."""
 
 
 class ParseError(ValueError):
@@ -357,71 +352,6 @@ def poly_pow(f: Poly, k: int) -> Poly:
             base = poly_mul(base, base)
     assert result is not None
     return frobenius(result, e) if e else result
-
-
-def exact_div(f: Poly, g: Poly) -> Poly:
-    """The exact quotient f / g, or NotDivisible if none exists.
-
-    Single-divisor division with respect to grevlex: repeatedly cancel the
-    leading term of the remainder against the leading term of g.  Because
-    only leading terms are reduced, a nonzero final remainder (equivalently,
-    a leading monomial not divisible by g's) proves f is not a multiple of g.
-
-    Internally a monomial of degree d is packed as the int
-    (d << n*w) - sum(a_j << j*w), with w bits per field, enough for every
-    exponent of f and g.  No remainder term has a larger degree than f's
-    lead, so no field carries: the packed ints add like exponent vectors
-    and order like grevlex.  Only each popped lead is unpacked, to decide
-    divisibility field by field.
-    """
-    _same_ring(f, g)
-    if not g.terms:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not f.terms:
-        return Poly._make(f.n, f.p, {})
-    p = f.p
-    w = max(f.degree(), g.degree()).bit_length()
-    top = f.n * w
-    mask = (1 << w) - 1
-    shifts = [j * w for j in range(f.n)]
-
-    def pack(m: Monomial) -> int:
-        return (sum(m) << top) - sum(a << s for a, s in zip(m, shifts))
-
-    glead = max(g.terms, key=grevlex_key)
-    gkey = pack(glead)
-    ginv = pow(g.terms[glead], p - 2, p)
-    gtail = [(pack(m), c) for m, c in g.terms.items() if m != glead]
-    rem = {pack(m): c for m, c in f.terms.items()}
-    # A min-heap of negated keys pops the grevlex-largest monomial.
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    quo: Terms = {}
-    while rem:
-        # Pop until we hit a monomial still live in the remainder; stale
-        # entries are left over from coefficients that cancelled to zero.
-        while True:
-            k = -heapq.heappop(heap)
-            if k in rem:
-                break
-        c = rem.pop(k)
-        low = (-(-k >> top) << top) - k  # the packed exponents, degree removed
-        m = tuple((low >> s) & mask for s in shifts)
-        if any(a < b for a, b in zip(m, glead)):
-            raise NotDivisible(f"leading monomial {m} is not a multiple of {glead}")
-        qk = k - gkey
-        qc = c * ginv % p
-        quo[tuple(a - b for a, b in zip(m, glead))] = qc
-        for tk, tc in gtail:
-            u = qk + tk
-            v = (rem.get(u, 0) - qc * tc) % p
-            if v:
-                if u not in rem:
-                    heapq.heappush(heap, -u)
-                rem[u] = v
-            else:
-                rem.pop(u, None)
-    return Poly._make(f.n, p, quo)
 
 
 class Matrix:

@@ -3,16 +3,17 @@
 The bracket [e1, ..., en] is the Moore-type determinant det(xj ** p**ei),
 rows indexed by the exponent sequence, columns by the variables.  Writing
 L(n, s) for the bracket over 0..n with s omitted, and L_n = L(n, n), the
-Dickson invariant Q_{n,s} is the exact quotient L(n, s) / L_n.  These
-quotients generate the full ring of GL(n, F_p) invariants in F_p[x1..xn],
-with Q_{n,0} equal to L_n ** (p-1).
+Dickson invariant Q_{n,s} is defined as the quotient L(n, s) / L_n, and
+built by Dickson's recursion, which needs products only.  The Q's
+generate the full ring of GL(n, F_p) invariants in F_p[x1..xn], with
+Q_{n,0} equal to L_n ** (p-1).
 
 Also here: the length-n recursion that rewrites a bracket with last entry
 raised by n; the bracket quotients P_coef and R_coef that appear in closed
 forms for the primitive Steenrod operations, built by that recursion
-divided by L_n, so that no quotient is found by exact division; and exact
-GL(n, F_p) machinery (generators, enumeration, invariance tests, invariant
-dimension counts by degree).
+divided by L_n, so that Q, R and P all come from products and nothing is
+divided; and exact GL(n, F_p) machinery (generators, enumeration,
+invariance tests, invariant dimension counts by degree).
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .fp_poly import (
     Monomial,
     Poly,
     binom_mod_p,
-    exact_div,
     frobenius,
     poly_add,
     poly_const,
@@ -36,6 +36,7 @@ from .fp_poly import (
     poly_one,
     poly_pow,
     poly_scale,
+    poly_var,
     poly_zero,
     require_prime,
     substitute_linear,
@@ -111,8 +112,20 @@ def L(n: int, s: int, p: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def dickson_Q(n: int, s: int, p: int) -> Poly:
-    """The Dickson invariant Q_{n,s} = L(n, s) / L_n, of degree p**n - p**s.
+    """The Dickson invariant Q_{n,s}, of degree p**n - p**s, defined as the
+    quotient L(n, s) / L_n.
 
+    Built by Dickson's recursion (L. E. Dickson, Trans. AMS 12, 1911; C.
+    Wilkerson, A primer on the Dickson invariants, 1983), with products
+    only.  The polynomial f_k(X) = sum over t of (-1)**(k-t) Q_{k,t} X**(p**t),
+    the product of X - v over v in the span of x1..xk, satisfies
+    f_k = f_{k-1}**p - V_k**(p-1) f_{k-1} with V_k = f_{k-1}(xk); so, from
+    Q_{0,0} = 1 and with Q_{k,k} = 1,
+
+        Q_{k,t} = Q_{k-1,t-1}**p + V_k**(p-1) Q_{k-1,t},
+        V_k = sum over t of (-1)**(k-1-t) Q_{k-1,t} xk**(p**t).
+
+    Every level lives in the n-variable ring; level n builds only Q_{n,s}.
     Conventions that keep downstream formulas total: Q_{n,s} = 0 for s < 0
     and Q_{n,n} = 1.
     """
@@ -125,7 +138,19 @@ def dickson_Q(n: int, s: int, p: int) -> Poly:
         return poly_one(n, p)
     if s > n:
         raise ValueError(f"s = {s} exceeds n = {n}")
-    return exact_div(L(n, s, p), L(n, n, p))
+    q = [poly_one(n, p)]  # Q_{k,0}, .., Q_{k,k} at level k, from k = 0
+    for k in range(1, n + 1):
+        x = poly_var(k, n, p)
+        v = poly_zero(n, p)
+        for t, q_t in enumerate(q):
+            term = poly_mul(q_t, frobenius(x, t))
+            v = poly_add(v, poly_scale(term, _sign_unit(k - 1 - t, p)))
+        v = poly_pow(v, p - 1)
+        lower = [poly_zero(n, p)] + q  # Q_{k-1,t-1} at index t
+        wanted = [s] if k == n else range(k)
+        q = [poly_add(frobenius(lower[t], 1), poly_mul(v, q[t])) for t in wanted]
+        q.append(poly_one(n, p))
+    return q[0]
 
 
 def _check_P_index(n: int, i: int, s: int) -> None:
@@ -152,19 +177,18 @@ def _divided_recursion(n: int, i: int, p: int, quotient: Callable[[int], Poly]) 
         sum over t in 0..n-1 of (-1)**(n+t-1) quotient(i-n+t) Q_{n,t}**(p**(i-1-n))
 
     which is recursion_rhs(n, prefix, i-1-n, p) divided by L_n.  Zero
-    quotients are skipped; the case budget, if set, is asked before each
-    product.
+    quotients are skipped; the case budget, if set, is asked about every
+    product before any is formed.
     """
     e = i - 1 - n
+    factors = [(t, low, dickson_Q(n, t, p))
+               for t in range(n) if (low := quotient(i - n + t)).terms]
     budget = case_budget.get()
-    total = poly_zero(n, p)
-    for t in range(n):
-        low = quotient(i - n + t)
-        if not low.terms:
-            continue
-        q = dickson_Q(n, t, p)
-        if budget is not None:
+    if budget is not None:
+        for _, low, q in factors:
             budget.before_product(len(low.terms), len(q.terms))
+    total = poly_zero(n, p)
+    for t, low, q in factors:
         term = poly_mul(low, frobenius(q, e))
         total = poly_add(total, poly_scale(term, _sign_unit(n + t - 1, p)))
     return total

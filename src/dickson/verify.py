@@ -237,9 +237,17 @@ def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
 
 
 def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    f = dickson_Q(spec.n, spec.s, spec.p)
+    """Q_{n,s}, built by Dickson's recursion, is the quotient that defines
+    it, Q_{n,s} L_n = L(n, s), and is fixed by every generator of GL(n, F_p)."""
+    n, s, p = spec.n, spec.s, spec.p
+    f = dickson_Q(n, s, p)
     budget.guard(f)
-    for mat in gl_generators(spec.n, spec.p):
+    base = L(n, n, p)
+    budget.before_product(len(f.terms), len(base.terms))
+    product = poly_mul(f, base)
+    if product != L(n, s, p):
+        return _compare(product, L(n, s, p))
+    for mat in gl_generators(n, p):
         budget.checkpoint()
         image = substitute_linear(f, mat)
         if image != f:

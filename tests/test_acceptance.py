@@ -17,7 +17,6 @@ from pathlib import Path
 
 from dickson.fp_poly import (
     Poly,
-    exact_div,
     frobenius,
     poly_add,
     poly_mul,
@@ -228,20 +227,12 @@ def test_property_suites(capsys):
         e = rng.randint(0, 2)
         return frobenius(f, e) == poly_pow(f, p ** e)
 
-    def division_roundtrip(rng, n, p):
-        f = rand_poly(rng, n, p)
-        g = rand_poly(rng, n, p)
-        if g.is_zero():
-            g = poly_add(g, Poly(n, p, {(1,) * n: 1}))
-        return exact_div(poly_mul(f, g), g) == f
-
     run_family("derivation", derivation)
     run_family("p-th powers die", p_th_powers_die)
     run_family("cartan", cartan)
     run_family("unstability", unstability)
     run_family("frobenius", frobenius_power)
-    run_family("division", division_roundtrip)
-    verdict(capsys, "six property families, 100 seeded cases per pair each; "
+    verdict(capsys, "five property families, 100 seeded cases per pair each; "
             f"failures: {failures or 'none'}", not failures)
 
 

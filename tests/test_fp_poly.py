@@ -1,4 +1,4 @@
-"""Core polynomial arithmetic: construction, ring laws, division, text form."""
+"""Core polynomial arithmetic: construction, ring laws, text form."""
 import random
 
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from dickson.fp_poly import (
     EXPONENT_LIMIT,
     Matrix,
-    NotDivisible,
     ParseError,
     Poly,
     ShapeError,
-    exact_div,
     format_poly,
     frobenius,
     grevlex_key,
@@ -252,68 +250,6 @@ class TestFrobeniusAndPow:
         assert poly_pow(z, 5).is_zero()
         with pytest.raises(ValueError):
             poly_pow(poly_one(2, 5), -1)
-
-
-class TestExactDiv:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_roundtrip(self, p):
-        rng = random.Random(p + 100)
-        for _ in range(40):
-            f = rand_poly(rng, 2, p)
-            g = rand_poly(rng, 2, p)
-            if g.is_zero():
-                continue
-            assert exact_div(poly_mul(f, g), g) == f
-
-    def test_not_divisible(self):
-        x1 = poly_var(1, 2, 3)
-        x2 = poly_var(2, 2, 3)
-        with pytest.raises(NotDivisible):
-            exact_div(x1 * x1 + x2, x1)
-        with pytest.raises(NotDivisible):
-            exact_div(x1 + poly_one(2, 3), x1 * x2)
-
-    @pytest.mark.parametrize("f, g", [
-        pytest.param(parse_poly("x1*x2^2 + 3*x1 + 4", 2, 5),
-                     parse_poly("x1^2 + 2*x2 + 2", 2, 5), id="inhomogeneous"),
-        pytest.param(parse_poly("x1^3 + 2*x2*x3^2 + x1", 3, 3),
-                     parse_poly("x2^2 + x1*x3 + 1", 3, 3), id="n3"),
-        pytest.param(parse_poly("x1^7 + 1", 1, 2), parse_poly("x1^3 + x1 + 1", 1, 2), id="n1"),
-        pytest.param(Poly(2, 5, {(BIG, 0): 1, (0, 1): 2}),
-                     Poly(2, 5, {(BIG - 3, 2): 3, (1, 0): 1}), id="near-2**62"),
-        pytest.param(parse_poly("3", 2, 5), parse_poly("2", 2, 5), id="constants"),
-    ])
-    def test_roundtrip_fixed(self, f, g):
-        fg = schoolbook(f, g)
-        assert exact_div(fg, g) == f
-        assert exact_div(fg, f) == g
-
-    @pytest.mark.parametrize("f, g, n", [
-        # the lead x1^2 beats x1*x2 in grevlex, so it packs to a larger int,
-        # yet it has fewer factors x2
-        pytest.param("x1^2", "x1*x2", 2, id="same-degree"),
-        pytest.param("x1^3 + x2", "x1*x2 + 1", 2, id="inhomogeneous"),
-        pytest.param("x1^5*x3 + x2", "x2^2*x3", 3, id="higher-degree"),
-    ])
-    def test_not_divisible_per_field(self, f, g, n):
-        f, g = parse_poly(f, n, 5), parse_poly(g, n, 5)
-        lead = max(f.terms, key=grevlex_key)
-        glead = max(g.terms, key=grevlex_key)
-        assert grevlex_key(lead) > grevlex_key(glead)
-        assert any(a < b for a, b in zip(lead, glead))
-        with pytest.raises(NotDivisible):
-            exact_div(f, g)
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_div(poly_one(2, 3), poly_zero(2, 3))
-
-    def test_zero_dividend(self):
-        assert exact_div(poly_zero(2, 3), poly_var(1, 2, 3)).is_zero()
-
-    def test_constant_divisor(self):
-        f = parse_poly("x1^2 + 2*x2", 2, 5)
-        assert exact_div(poly_scale(f, 3), poly_const(3, 2, 5)) == f
 
 
 class TestGrevlex:

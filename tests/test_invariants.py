@@ -8,7 +8,6 @@ from dickson import invariants
 from dickson.fp_poly import (
     Matrix,
     Poly,
-    exact_div,
     parse_poly,
     poly_mul,
     poly_one,
@@ -151,7 +150,8 @@ class TestDicksonQ:
         assert dickson_Q(n, 0, p) == poly_pow(L(n, n, p), p - 1)
 
     def test_quotient_reconstructs_bracket(self):
-        for (p, n) in [(2, 2), (3, 2), (2, 3)]:
+        # Q_{n,s} is defined as L(n, s) / L_n and built by Dickson's recursion
+        for (p, n) in [(2, 2), (3, 2), (2, 3), (3, 3), (5, 3), (7, 3), (2, 4), (3, 4), (2, 5)]:
             for s in range(n):
                 assert poly_mul(dickson_Q(n, s, p), L(n, n, p)) == L(n, s, p)
 
@@ -214,32 +214,37 @@ class TestCoefficientQuotients:
         (2, 2, 6), (3, 2, 6), (5, 2, 6), (2, 3, 7), (3, 3, 6), (2, 4, 6),
     ])
     def test_recursion_gives_the_exact_quotients(self, p, n, i_top):
-        # built by the divided recursion, each is its bracket divided by L_n
+        # built by the divided recursion, each times L_n is its bracket
         base = L(n, n, p)
         for i in range(1, i_top + 1):
             r_bracket = bracket(n, tuple(range(n - 1)) + (i - 1,), p)
-            assert R_coef(n, i, p) == exact_div(r_bracket, base)
+            assert poly_mul(base, R_coef(n, i, p)) == r_bracket
             for s in range(n):
-                assert P_coef(n, i, s, p) == exact_div(_P_bracket(n, i, s, p), base)
+                assert poly_mul(base, P_coef(n, i, s, p)) == _P_bracket(n, i, s, p)
 
-    def test_quotients_divide_only_inside_dickson_Q(self, monkeypatch):
-        # the quotients of st_delta_via_main(3, 2, 6, 3), built cold, divide
-        # nothing but L(3, t) by L_3
-        for fn in (R_coef, P_coef, dickson_Q):
-            fn.cache_clear()
-        divisions = []
-        div = invariants.exact_div
+    def test_recursion_asks_about_every_product_before_forming_any(self, monkeypatch):
+        # R_coef(3, 7, 3) sums three products of R_coef(3, 4..6, 3) by
+        # Frobenius images of Q_{3,t}; the budget refuses the third
+        lows = [R_coef(3, j, 3) for j in (4, 5, 6)]
+        qs = [dickson_Q(3, t, 3) for t in range(3)]
+        asked, products = [], []
 
-        def spy(f, g):
-            divisions.append((f, g))
-            return div(f, g)
+        class Refuse:
+            def before_product(self, f_terms, g_terms):
+                asked.append((f_terms, g_terms))
+                if len(asked) == 3:
+                    raise RuntimeError("refused")
 
-        monkeypatch.setattr(invariants, "exact_div", spy)
-        R_coef(3, 6, 3)
-        P_coef(3, 6, 2, 3)
-        assert len(divisions) == 3
-        for t in range(3):
-            assert (L(3, t, 3), L(3, 3, 3)) in divisions
+        monkeypatch.setattr(invariants, "poly_mul",
+                            lambda f, g: products.append((f, g)))
+        token = invariants.case_budget.set(Refuse())
+        try:
+            with pytest.raises(RuntimeError):
+                R_coef.__wrapped__(3, 7, 3)
+        finally:
+            invariants.case_budget.reset(token)
+        assert asked == [(len(low.terms), len(q.terms)) for low, q in zip(lows, qs)]
+        assert products == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

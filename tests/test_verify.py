@@ -345,6 +345,23 @@ class TestCli:
             i: f"p**{i} exceeds 2**63" for i in (28, 29, 30)}
         assert all(reasons[i] is None for i in range(1, 28))
 
+    def test_sign_pin_fitting_neither_convention_keeps_the_report(
+            self, monkeypatch, tmp_path, capsys):
+        # with a classical table that no sign fits, the flag reads 0, the
+        # report is written and the run fails
+        monkeypatch.setattr(steenrod, "smith_switzer_value",
+                            lambda n, s, i, p: fp_poly.poly_zero(n, p))
+        report = run_grid(GridConfig(theorems=("q0-power",), pairs=((2, 2),)))
+        assert report.sign_flag == 0
+        assert [(c.passed, c.skipped) for c in report.cases] == [(True, False)]
+        target = tmp_path / "report.json"
+        rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                   "--format", "json", "--out", str(target)])
+        assert rc == 1
+        data = json.loads(target.read_text())
+        assert data["sign_flag"] == 0
+        assert data["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
+
     def test_tiny_budget_env_skips(self, monkeypatch, capsys):
         monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
         rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
