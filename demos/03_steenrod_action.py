@@ -8,16 +8,21 @@ the direct Leibniz computation, and the three routes agree exactly:
   via_dl2     one bracket determinant times a power of L_n
   via_main    (-1)^n Q_{n,0} (R^p Q_{n,s} - P^p) in bracket quotients
 
-The script ends on the one place the tabulated composite for i = n + 3
-disagrees with all three routes at odd primes, and shows the gap is
-exactly a doubled P-term, i.e. one flipped sign.
+It then writes R and P for i = n + 4, one row past the tabulated
+corollaries, as polynomials in the Q's (the Dickson coordinates the
+verifier decides the main theorem in), and ends on the one place the
+tabulated composite for i = n + 3 disagrees with all three routes at odd
+primes, showing the gap is exactly a doubled P-term, i.e. one flipped sign.
 """
+import re
+
 from dickson import (
     corollary_rhs,
     dickson_Q,
     format_poly,
     frobenius,
     P_coef,
+    R_coef,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -28,6 +33,7 @@ from dickson import (
     st_delta_via_main,
     steenrod_P,
     poly_var,
+    y_quotient,
 )
 
 p, n = 3, 2
@@ -65,6 +71,23 @@ for i in range(1, n + 1):
         tag = "0" if val.is_zero() else f"{len(val.terms)} terms"
         ok = st_delta(dickson_Q(n, s, p), i) == val
         print(f"s = {s}, i = {i}: table value {tag:>8}, matches direct: {ok}")
+
+print()
+print("== R and P one row past the tables, in the Q's (coefficients mod 3) ==")
+
+
+def in_q(f):
+    # y_quotient stores y_t, which stands for Q_{n,t}, as the variable x(t+1)
+    return re.sub(r"x(\d+)", lambda m: f"Q_{{{n},{int(m.group(1)) - 1}}}", format_poly(f))
+
+
+i = n + 4
+r = y_quotient(n, n - 1, i - 1, p)
+print(f"R_{{{n},{i}}}   = {in_q(r)}")
+print(f"           ({len(r.terms)} terms; {len(R_coef(n, i, p).terms)} in x1, x2)")
+for s in range(1, n):
+    print(f"P_{{{n},{i},{s}}} = {in_q(y_quotient(n, s - 1, i - 1, p))}")
+print("the main family proves these rows at i = n + 4 on the default grid")
 
 print()
 print("== the i = n + 3 composite and its sign slip at odd p ==")

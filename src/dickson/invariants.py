@@ -12,7 +12,9 @@ Also here: the length-n recursion that rewrites a bracket with last entry
 raised by n; the bracket quotients P_coef and R_coef that appear in closed
 forms for the primitive Steenrod operations, built by that recursion
 divided by L_n, so that Q, R and P all come from products and nothing is
-divided; and exact GL(n, F_p) machinery (generators, enumeration,
+divided; the same quotients in Dickson coordinates, as polynomials in
+y_t = Q_{n,t} (y_quotient), one step of the recursion serving all three;
+and exact GL(n, F_p) machinery (generators, enumeration,
 invariance tests, invariant dimension counts by degree).
 """
 from __future__ import annotations
@@ -113,19 +115,8 @@ def L(n: int, s: int, p: int) -> Poly:
 @lru_cache(maxsize=None)
 def dickson_Q(n: int, s: int, p: int) -> Poly:
     """The Dickson invariant Q_{n,s}, of degree p**n - p**s, defined as the
-    quotient L(n, s) / L_n.
+    quotient L(n, s) / L_n and built by Dickson's recursion (_dickson_row).
 
-    Built by Dickson's recursion (L. E. Dickson, Trans. AMS 12, 1911; C.
-    Wilkerson, A primer on the Dickson invariants, 1983), with products
-    only.  The polynomial f_k(X) = sum over t of (-1)**(k-t) Q_{k,t} X**(p**t),
-    the product of X - v over v in the span of x1..xk, satisfies
-    f_k = f_{k-1}**p - V_k**(p-1) f_{k-1} with V_k = f_{k-1}(xk); so, from
-    Q_{0,0} = 1 and with Q_{k,k} = 1,
-
-        Q_{k,t} = Q_{k-1,t-1}**p + V_k**(p-1) Q_{k-1,t},
-        V_k = sum over t of (-1)**(k-1-t) Q_{k-1,t} xk**(p**t).
-
-    Every level lives in the n-variable ring; level n builds only Q_{n,s}.
     Conventions that keep downstream formulas total: Q_{n,s} = 0 for s < 0
     and Q_{n,n} = 1.
     """
@@ -138,6 +129,25 @@ def dickson_Q(n: int, s: int, p: int) -> Poly:
         return poly_one(n, p)
     if s > n:
         raise ValueError(f"s = {s} exceeds n = {n}")
+    return _dickson_row(n, p)[s]
+
+
+@lru_cache(maxsize=None)
+def _dickson_row(n: int, p: int) -> Tuple[Poly, ...]:
+    """Q_{n,0}, .., Q_{n,n-1}, all from one run of Dickson's recursion (L. E.
+    Dickson, Trans. AMS 12, 1911; C. Wilkerson, A primer on the Dickson
+    invariants, 1983), with products only.
+
+    The polynomial f_k(X) = sum over t of (-1)**(k-t) Q_{k,t} X**(p**t),
+    the product of X - v over v in the span of x1..xk, satisfies
+    f_k = f_{k-1}**p - V_k**(p-1) f_{k-1} with V_k = f_{k-1}(xk); so, from
+    Q_{0,0} = 1 and with Q_{k,k} = 1,
+
+        Q_{k,t} = Q_{k-1,t-1}**p + V_k**(p-1) Q_{k-1,t},
+        V_k = sum over t of (-1)**(k-1-t) Q_{k-1,t} xk**(p**t).
+
+    Every level lives in the n-variable ring.
+    """
     q = [poly_one(n, p)]  # Q_{k,0}, .., Q_{k,k} at level k, from k = 0
     for k in range(1, n + 1):
         x = poly_var(k, n, p)
@@ -147,10 +157,9 @@ def dickson_Q(n: int, s: int, p: int) -> Poly:
             v = poly_add(v, poly_scale(term, _sign_unit(k - 1 - t, p)))
         v = poly_pow(v, p - 1)
         lower = [poly_zero(n, p)] + q  # Q_{k-1,t-1} at index t
-        wanted = [s] if k == n else range(k)
-        q = [poly_add(frobenius(lower[t], 1), poly_mul(v, q[t])) for t in wanted]
+        q = [poly_add(frobenius(lower[t], 1), poly_mul(v, q[t])) for t in range(k)]
         q.append(poly_one(n, p))
-    return q[0]
+    return tuple(q[:n])
 
 
 def _check_P_index(n: int, i: int, s: int) -> None:
@@ -171,27 +180,38 @@ def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
     return bracket(n, tuple(k for k in range(n) if k != s - 1) + (i - 1,), p)
 
 
+def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
+                   base: Callable[[int], Poly]) -> Poly:
+    """sum over t in 0..n-1 of (-1)**(n+t-1) lows[t] base(t)**(p**e).
+
+    The one step of the length-n bracket recursion, shared by the bracket
+    side (recursion_rhs, base(t) = Q_{n,t}), its quotient by L_n
+    (_divided_recursion) and the same quotient in Dickson coordinates
+    (y_quotient, base(t) = y_t).  base(t) is built only for a nonzero
+    lows[t]; the case budget, if set, is asked about every product before
+    any is formed.
+    """
+    factors = [(t, low, base(t)) for t, low in enumerate(lows) if low.terms]
+    budget = case_budget.get()
+    if budget is not None:
+        for _, low, b in factors:
+            budget.before_product(len(low.terms), len(b.terms))
+    total = poly_zero(n, p)
+    for t, low, b in factors:
+        term = poly_mul(low, frobenius(b, e))
+        total = poly_add(total, poly_scale(term, _sign_unit(n + t - 1, p)))
+    return total
+
+
 def _divided_recursion(n: int, i: int, p: int, quotient: Callable[[int], Poly]) -> Poly:
     """[prefix, i-1] / L_n for i > n, given quotient(j) = [prefix, j-1] / L_n:
 
         sum over t in 0..n-1 of (-1)**(n+t-1) quotient(i-n+t) Q_{n,t}**(p**(i-1-n))
 
-    which is recursion_rhs(n, prefix, i-1-n, p) divided by L_n.  Zero
-    quotients are skipped; the case budget, if set, is asked about every
-    product before any is formed.
+    which is recursion_rhs(n, prefix, i-1-n, p) divided by L_n.
     """
-    e = i - 1 - n
-    factors = [(t, low, dickson_Q(n, t, p))
-               for t in range(n) if (low := quotient(i - n + t)).terms]
-    budget = case_budget.get()
-    if budget is not None:
-        for _, low, q in factors:
-            budget.before_product(len(low.terms), len(q.terms))
-    total = poly_zero(n, p)
-    for t, low, q in factors:
-        term = poly_mul(low, frobenius(q, e))
-        total = poly_add(total, poly_scale(term, _sign_unit(n + t - 1, p)))
-    return total
+    lows = [quotient(i - n + t) for t in range(n)]
+    return _recursion_sum(n, i - 1 - n, p, lows, lambda t: dickson_Q(n, t, p))
 
 
 @lru_cache(maxsize=None)
@@ -234,21 +254,49 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
         sum over s in 0..n-1 of (-1)**(n+s-1) [prefix, e + s] Q_{n,s}**(p**e)
 
     which equals bracket(n, prefix + (e + n,), p) identically.  A zero
-    bracket (a repeated row) is skipped before its Q factor is built.
+    bracket (a repeated row) is skipped before its Q factor is built, and
+    the case budget, if set, is asked about every product before any is
+    formed.
     """
     prefix = tuple(prefix)
     if len(prefix) != n - 1:
         raise ValueError(f"prefix must have n - 1 = {n - 1} entries, got {prefix}")
     if e < 0:
         raise ValueError(f"need e >= 0, got {e}")
-    total = poly_zero(n, p)
-    for s in range(n):
-        low = bracket(n, prefix + (e + s,), p)
-        if not low.terms:
-            continue
-        term = poly_mul(low, frobenius(dickson_Q(n, s, p), e))
-        total = poly_add(total, poly_scale(term, _sign_unit(n + s - 1, p)))
-    return total
+    lows = [bracket(n, prefix + (e + s,), p) for s in range(n)]
+    return _recursion_sum(n, e, p, lows, lambda s: dickson_Q(n, s, p))
+
+
+@lru_cache(maxsize=None)
+def y_quotient(n: int, left: int, j: int, p: int) -> Poly:
+    """The bracket quotient [0, .., left omitted, .., n-1, j] / L_n in
+    Dickson coordinates: a polynomial in y_0, .., y_{n-1}, stored as an
+    n-variable Poly whose variable x(t+1) is y_t, that becomes the quotient
+    under y_t -> Q_{n,t}.
+
+    For j < n it is (-1)**(n-1-left) at j = left, where the bracket is L_n
+    with its rows permuted, and 0 otherwise (a repeated row).  Above that it
+    follows the bracket recursion divided by L_n, with y_t in place of
+    Q_{n,t}:
+
+        F(e + n) = sum over t of (-1)**(n+t-1) F(e + t) y_t**(p**e).
+
+    y -> Q is a ring map that commutes with Frobenius, so wherever the
+    recursion instances [prefix, e + n] = recursion_rhs(n, prefix, e, p)
+    hold, the image of F(j) times L_n is the bracket.  R_coef(n, i, p) is
+    the image of y_quotient(n, n - 1, i - 1, p), P_coef(n, i, s, p) that of
+    y_quotient(n, s - 1, i - 1, p); both are far smaller here (R_{2,15} at
+    p = 3: 377 terms against 2,391,484).
+    """
+    require_prime(p)
+    if not 0 <= left < n:
+        raise ValueError(f"left = {left} outside 0..{n - 1}")
+    if j < 0:
+        raise ValueError(f"need j >= 0, got {j}")
+    if j < n:
+        return poly_const(_sign_unit(n - 1 - left, p), n, p) if j == left else poly_zero(n, p)
+    lows = [y_quotient(n, left, j - n + t, p) for t in range(n)]
+    return _recursion_sum(n, j - n, p, lows, lambda t: poly_var(t + 1, n, p))
 
 
 def gl_order(n: int, p: int) -> int:

@@ -7,6 +7,15 @@ is skipped, with the reason, when a term-count, time or size limit is hit,
 or, for the report-only i = n + 3 corollary, passes with a flag and a
 witness when the tabulated composite disagrees with the direct action.
 
+The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
+is decided by an exact certificate (_certificate_gap): det-formula, the
+recursion instances behind the bracket quotients and q0-power on the x
+side, and one identity in the free ring F_p[y_0..y_{n-1}], where the
+quotients are small polynomials in y_t = Q_{n,t} (invariants.y_quotient).
+A pass is a proof, since y -> Q is a ring map that commutes with Frobenius.
+routes-agree keeps the x route: it compares st_delta_via_main, built from
+R_coef and P_coef, with the determinant route.
+
 Reports serialize deterministically: emitting the same Report twice gives
 identical bytes, and two grid runs with the same configuration agree
 everywhere except the per-case timings.  No case is randomized: the seed
@@ -18,6 +27,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -31,6 +41,8 @@ from .fp_poly import (
     poly_const,
     poly_mul,
     poly_pow,
+    poly_sub,
+    poly_var,
     poly_zero,
     require_prime,
     substitute_linear,
@@ -45,6 +57,7 @@ from .invariants import (
     invariant_space_dimension,
     gl_generators,
     recursion_rhs,
+    y_quotient,
 )
 from .steenrod import (
     _L_pow,
@@ -186,6 +199,82 @@ def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outco
     return True, False, None
 
 
+@lru_cache(maxsize=None)
+def _step_holds(n: int, left: int, j: int, p: int) -> bool:
+    """One step of the induction behind _quotients_proven, checked at most
+    once per process, the prefix being 0..n-1 with left left out: for j < n
+    the base case [prefix, j] = L_n y_quotient(n, left, j, p), a constant;
+    above, the recursion instance [prefix, j] = recursion_rhs(n, prefix,
+    j - n, p)."""
+    prefix = tuple(k for k in range(n) if k != left)
+    lhs = bracket(n, prefix + (j,), p)
+    if j < n:
+        return lhs == poly_mul(L(n, n, p), y_quotient(n, left, j, p))
+    return lhs == recursion_rhs(n, prefix, j - n, p)
+
+
+def _quotients_proven(n: int, left: int, top: int, p: int) -> bool:
+    """Whether [prefix, j] = L_n y_quotient(n, left, j, p)(Q) is proven for
+    every j <= top, the prefix being 0..n-1 with left left out.
+
+    By induction on j: the base cases j < n are checked as they stand, and
+    above them the instance [prefix, j] carries the claim from j - n..j - 1
+    to j, because y_quotient follows the same recursion and y -> Q is a
+    ring map that commutes with Frobenius.  So the induction reaches top
+    only if every step up to top holds.
+    """
+    j = -1
+    while j < top and _step_holds(n, left, j + 1, p):
+        j += 1
+    return j >= top
+
+
+def _certificate_gap(spec: CaseSpec, budget: _Budget) -> Optional[str]:
+    """The first link of the certificate of the main theorem at
+    (p, n, s, i) that fails, or None when all four hold.
+
+    With X = [0..n-1 without s, i], R = [0..n-2, i-1] and
+    P = [0..n-1 without s-1, i-1], each divided by L_n:
+      1. det-formula: st_delta(Q_{n,s}, i) = (-1)**n L_n**(p-2) L_n X;
+      2. the base cases and the recursion instances that carry X, R and P
+         up from them, so that L_n times the image of y_quotient under
+         y -> Q is each bracket;
+      3. q0-power: Q_{n,0} = L_n**(p-1);
+      4. in the free ring F_p[y]: X = R**p y_s - P**p.
+    Together: st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p).
+    Only links 1 to 3 are built in x, and each step of link 2 once per
+    process; the quotients themselves stay in y, where they are small.
+    """
+    n, s, i, p = spec.n, spec.s, spec.i, spec.p
+    if not _case_st_delta_Q(spec, budget, i, st_delta_via_dl2)[0]:
+        return "det-formula"
+    for left, top in ((s, i), (n - 1, i - 1), (s - 1, i - 1)):
+        if left >= 0 and not _quotients_proven(n, left, top, p):
+            return f"recursion up to [0..{n - 1} without {left}, {top}]"
+    if not _case_q0_power(spec, budget)[0]:
+        return "q0-power"
+    X, R = y_quotient(n, s, i, p), y_quotient(n, n - 1, i - 1, p)
+    rhs = poly_mul(frobenius(R, 1), poly_var(s + 1, n, p))
+    if s > 0:
+        rhs = poly_sub(rhs, frobenius(y_quotient(n, s - 1, i - 1, p), 1))
+    budget.guard(X, rhs)
+    return None if X == rhs else "free ring"
+
+
+def _case_main(spec: CaseSpec, budget: _Budget) -> _Outcome:
+    """st_delta(Q_{n,s}, i) against the main theorem, decided by the
+    certificate (_certificate_gap).  If a link fails, the x comparison with
+    st_delta_via_main runs: its witness, or, where it finds no difference,
+    one naming the broken link.  A broken certificate never passes."""
+    gap = _certificate_gap(spec, budget)
+    if gap is None:
+        return True, False, None
+    passed, flagged, witness = _case_st_delta_Q(spec, budget, spec.i, st_delta_via_main)
+    if passed:
+        return False, False, f"certificate link {gap} fails"
+    return passed, flagged, witness
+
+
 def _case_cor(k: int) -> _Check:
     """st_delta(Q_{n,s}, n + k) against the tabulated composite for i = n + k."""
     return lambda spec, budget: _case_st_delta_Q(
@@ -296,9 +385,7 @@ class _Family(NamedTuple):
 # builders up when called, so rebinding a module-level name (to wrap or
 # trace it) reaches every check.
 _FAMILIES: Dict[str, _Family] = {
-    "main": _Family(
-        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_main),
-        _each_s_i),
+    "main": _Family(_case_main, _each_s_i),
     "smith-switzer": _Family(
         lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, smith_switzer_value),
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, n, d_max)),

@@ -1,5 +1,6 @@
 """Bracket determinants, Dickson invariants, GL machinery, dimension counts."""
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from dickson.fp_poly import (
     Matrix,
     Poly,
     parse_poly,
+    poly_add,
     poly_mul,
     poly_one,
     poly_pow,
@@ -33,6 +35,7 @@ from dickson.invariants import (
     invariant_space_dimension,
     is_invariant,
     recursion_rhs,
+    y_quotient,
 )
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
@@ -156,6 +159,74 @@ class TestDicksonQ:
                 assert poly_mul(dickson_Q(n, s, p), L(n, n, p)) == L(n, s, p)
 
 
+def at_Q(f, p):
+    """The image of a polynomial in y_0..y_{n-1} under y_t -> Q_{n,t}."""
+    n = f.n
+    total = poly_zero(n, p)
+    for m, c in f.terms.items():
+        term = poly_scale(poly_one(n, p), c)
+        for t, a in enumerate(m):
+            term = poly_mul(term, poly_pow(dickson_Q(n, t, p), a))
+        total = poly_add(total, term)
+    return total
+
+
+class TestDicksonQRow:
+    def test_one_recursion_per_pair(self, monkeypatch):
+        # all n invariants of a (p, n) come from one run of the recursion
+        row = invariants._dickson_row.__wrapped__
+        built = []
+
+        def build(n, p):
+            built.append((n, p))
+            return row(n, p)
+
+        monkeypatch.setattr(invariants, "_dickson_row", lru_cache(build))
+        qs = [dickson_Q.__wrapped__(3, s, 7) for s in range(3)]
+        assert built == [(3, 7)]
+        assert qs == [dickson_Q(3, s, 7) for s in range(3)]
+
+
+class TestDicksonCoordinates:
+    def test_base_cases(self):
+        # [0..n-1 without left, left] is L_n after n-1-left row swaps
+        for n, p in [(2, 3), (3, 5), (4, 2)]:
+            for left in range(n):
+                for j in range(n):
+                    want = poly_scale(poly_one(n, p), (-1) ** (n - 1 - left) % p)
+                    assert y_quotient(n, left, j, p) == (want if j == left else poly_zero(n, p))
+
+    @pytest.mark.parametrize("p,n,i_top", [
+        (2, 2, 6), (3, 2, 6), (5, 2, 6), (2, 3, 7), (3, 3, 6), (2, 4, 6),
+    ])
+    def test_image_is_R_and_P(self, p, n, i_top):
+        for i in range(1, i_top + 1):
+            assert at_Q(y_quotient(n, n - 1, i - 1, p), p) == R_coef(n, i, p)
+            for s in range(1, n):
+                assert at_Q(y_quotient(n, s - 1, i - 1, p), p) == P_coef(n, i, s, p)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+    def test_image_times_base_bracket_is_the_bracket(self, p, n):
+        for left in range(n):
+            prefix = tuple(k for k in range(n) if k != left)
+            for j in range(n + 4):
+                assert poly_mul(L(n, n, p), at_Q(y_quotient(n, left, j, p), p)) == \
+                    bracket(n, prefix + (j,), p)
+
+    def test_pinned_row_past_the_tables(self):
+        # R_{2,6} at p = 3, printed by demo 03: y_t stands for Q_{2,t}
+        assert y_quotient(2, 1, 5, 3) == parse_poly(
+            "x2^40 + 2*x1^3*x2^36 + 2*x1^9*x2^28 + 2*x1^27*x2^4 + x1^30", 2, 3)
+
+    def test_far_smaller_than_in_x(self):
+        assert len(y_quotient(2, 1, 14, 3).terms) == 377
+
+    def test_validation(self):
+        for args in [(2, 2, 3, 3), (2, -1, 3, 3), (2, 0, -1, 3), (2, 0, 3, 4)]:
+            with pytest.raises(ValueError):
+                y_quotient(*args)
+
+
 class TestCoefficientQuotients:
     def test_p_vanishes_at_s0(self):
         assert P_coef(2, 5, 0, 3).is_zero()
@@ -271,6 +342,30 @@ class TestRecursion:
         rhs = recursion_rhs(2, (0,), 1, 2)
         assert lhs == rhs
         assert not lhs.is_zero()
+
+    def test_asks_about_every_product_before_forming_any(self, monkeypatch):
+        # [0, 2, 1 + 3] at p = 3: the lows [0, 2, 1 + t] are zero at t = 1
+        # (a repeated row), so two products are asked about and none formed
+        lows = [bracket(3, (0, 2, 1 + t), 3) for t in range(3)]
+        qs = [dickson_Q(3, t, 3) for t in range(3)]
+        asked, products = [], []
+
+        class Refuse:
+            def before_product(self, f_terms, g_terms):
+                asked.append((f_terms, g_terms))
+                if len(asked) == 2:
+                    raise RuntimeError("refused")
+
+        monkeypatch.setattr(invariants, "poly_mul",
+                            lambda f, g: products.append((f, g)))
+        token = invariants.case_budget.set(Refuse())
+        try:
+            with pytest.raises(RuntimeError):
+                recursion_rhs(3, (0, 2), 1, 3)
+        finally:
+            invariants.case_budget.reset(token)
+        assert asked == [(len(lows[t].terms), len(qs[t].terms)) for t in (0, 2)]
+        assert products == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

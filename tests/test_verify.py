@@ -6,7 +6,7 @@ import pytest
 
 from dickson import fp_poly, invariants, steenrod, verify
 from dickson.cli import main
-from dickson.fp_poly import parse_poly
+from dickson.fp_poly import parse_poly, poly_scale
 from dickson.invariants import P_coef, R_coef, case_budget, recursion_rhs
 from dickson.verify import (
     CaseSpec,
@@ -152,7 +152,8 @@ class TestRunCase:
     def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch):
         # R_coef(2, 15, 3) would build a 2,391,484-term quotient; under a
         # budget of 10**6 the recursion stops before any product has more
-        # term pairs than that
+        # term pairs than that.  routes-agree builds it through
+        # st_delta_via_main; main decides the case by its certificate (below)
         R_coef.cache_clear()
         P_coef.cache_clear()
         pairs = []
@@ -165,7 +166,7 @@ class TestRunCase:
         for module in (fp_poly, invariants, steenrod, verify):
             monkeypatch.setattr(module, "poly_mul", spy)
         try:
-            r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
+            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15), term_budget=10 ** 6)
         finally:
             R_coef.cache_clear()
             P_coef.cache_clear()
@@ -173,6 +174,11 @@ class TestRunCase:
         assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
         assert pairs and max(pairs) <= 10 ** 6
         assert case_budget.get() is None
+
+    def test_main_passes_where_the_x_route_runs_over_budget(self):
+        # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
+        r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
+        assert r.passed and not r.skipped and r.witness is None
 
     def test_dimension_bound_skips(self):
         # a basis too large for the dimension routine reports as skipped
@@ -209,6 +215,118 @@ class TestRunCase:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             run_case(CaseSpec(theorem="bogus", p=2, n=2))
+
+
+# The main cases of perfbench's stretch-main workload, as (p, n, i_max).
+STRETCH_MAIN = ((3, 3, 6), (2, 4, 6), (5, 3, 4))
+
+
+def main_specs():
+    specs = grid_cases(GridConfig(theorems=("main",)))
+    for p, n, i_max in STRETCH_MAIN:
+        specs += grid_cases(GridConfig(theorems=("main",), pairs=((p, n),), i_max=i_max))
+    return specs
+
+
+def budget():
+    return verify._Budget(verify.DEFAULT_TERM_BUDGET, verify.DEFAULT_TIME_BUDGET)
+
+
+def plus_one(f):
+    return fp_poly.poly_add(f, fp_poly.poly_one(f.n, f.p))
+
+
+class TestMainCertificate:
+    def test_certificate_and_x_route_agree(self):
+        # every main case of the default grid and of the stretch grid: the
+        # certificate holds exactly where st_delta_via_main matches
+        specs = main_specs()
+        assert len(specs) == 67 + 54
+        for spec in specs:
+            gap = verify._certificate_gap(spec, budget())
+            x_passed, _, _ = verify._case_st_delta_Q(
+                spec, budget(), spec.i, steenrod.st_delta_via_main)
+            assert (gap is None) == x_passed, spec
+            assert gap is None
+
+    def test_main_builds_no_x_quotient(self, monkeypatch):
+        # R and P stay in the Dickson coordinates
+        def refuse(*args):
+            raise AssertionError("x quotient built")
+
+        monkeypatch.setattr(verify, "st_delta_via_main", refuse)
+        monkeypatch.setattr(invariants, "_divided_recursion", refuse)
+        report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (2, 3))))
+        assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
+
+    def test_each_instance_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def spy(n, prefix, e, p):
+            calls.append((n, prefix, e, p))
+            return recursion_rhs(n, prefix, e, p)
+
+        verify._step_holds.cache_clear()
+        monkeypatch.setattr(verify, "recursion_rhs", spy)
+        try:
+            for _ in range(2):
+                run_grid(GridConfig(theorems=("main",), pairs=((5, 2),)))
+        finally:
+            verify._step_holds.cache_clear()
+        assert len(calls) == len(set(calls))
+        # the prefixes (1,) and (0,), each up to e = 6 - 2
+        assert sorted(calls) == sorted(
+            (2, prefix, e, 5) for prefix in ((0,), (1,)) for e in range(5))
+
+    # Each corruption breaks one link; i >= n, so every case needs an
+    # instance of the recursion.
+    CORRUPTIONS = {
+        "det-formula": ("st_delta_via_dl2",
+                        lambda real: lambda n, s, i, p: plus_one(real(n, s, i, p))),
+        "recursion": ("_step_holds", lambda real: lambda n, left, j, p: j < n),
+        "q0-power": ("poly_pow", lambda real: lambda f, k: plus_one(real(f, k))),
+        "free ring": ("y_quotient", lambda real: lambda n, left, j, p: (
+            plus_one(real(n, left, j, p)) if left == n - 1 else real(n, left, j, p))),
+    }
+
+    @pytest.mark.parametrize("link", list(CORRUPTIONS))
+    def test_a_broken_link_fails_and_names_itself(self, monkeypatch, link):
+        name, corrupt = self.CORRUPTIONS[link]
+        monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+        report = run_grid(GridConfig(theorems=("main",), pairs=((2, 2), (3, 2), (5, 2))))
+        cases = [c for c in report.cases if c.spec.i >= c.spec.n]
+        assert cases and not any(c.passed or c.skipped for c in cases)
+        # st_delta_via_main is intact, so the x comparison finds no difference
+        for c in cases:
+            assert c.witness.startswith(f"certificate link {link}")
+            assert c.witness.endswith(" fails")
+
+    def test_a_unit_multiple_of_every_quotient_fails_at_the_base(self, monkeypatch):
+        # -y_quotient satisfies X = R**p y_s - P**p as well (c**p = c in
+        # F_p), so only the checked base cases tell it from the quotient
+        real = verify.y_quotient
+        monkeypatch.setattr(verify, "y_quotient", lambda n, left, j, p: poly_scale(
+            real(n, left, j, p), p - 1))
+        verify._step_holds.cache_clear()  # steps proven with the true quotients
+        try:
+            report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (5, 2))))
+        finally:
+            verify._step_holds.cache_clear()
+        assert not any(c.passed or c.skipped for c in report.cases)
+        assert all(c.witness.startswith("certificate link recursion") for c in report.cases)
+
+    def test_a_broken_link_reports_the_x_witness(self, monkeypatch):
+        # where the x route differs too, the witness is its monomial, as
+        # before the certificate
+        wrong = lambda n, s, i, p: fp_poly.poly_zero(n, p)
+        monkeypatch.setattr(verify, "st_delta_via_dl2", wrong)
+        monkeypatch.setattr(verify, "st_delta_via_main", wrong)
+        r = run_case(CaseSpec("main", 3, 2, s=1, i=4))
+        want = verify._compare(
+            steenrod.st_delta(invariants.dickson_Q(2, 1, 3), 4), fp_poly.poly_zero(2, 3))
+        assert not r.passed and not r.skipped
+        assert (False, False, r.witness) == want
+        assert len(parse_poly(r.witness, 2, 3).terms) == 1
 
 
 class TestReports:
@@ -302,6 +420,18 @@ class TestCli:
                    "--seed", "99", "--format", "json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+    @pytest.mark.parametrize("argv,passed", [
+        (["--p", "5", "--n", "3"], 21),
+        (["--p", "2", "--n", "4", "--i-max", "9"], 36),
+    ])
+    def test_main_frontier_passes(self, capsys, argv, passed):
+        # the (5,3) i = 7 cases used to skip over budget, and the (2,4)
+        # grid took minutes
+        rc = main(["--theorem", "main"] + argv)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [f"PASSED: {passed}", "FLAGGED: 0", "SKIPPED: 0", "FAILED: 0"]
 
     @pytest.mark.parametrize("argv", [
         ["--p", "2"],
