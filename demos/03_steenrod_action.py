@@ -10,9 +10,10 @@ the direct Leibniz computation, and the three routes agree exactly:
 
 It then writes R and P for i = n + 4, one row past the tabulated
 corollaries, as polynomials in the Q's (the Dickson coordinates the
-verifier decides the main theorem in), and ends on the one place the
-tabulated composite for i = n + 3 disagrees with all three routes at odd
-primes, showing the gap is exactly a doubled P-term, i.e. one flipped sign.
+verifier decides the main theorem and the corollaries in), and ends on
+the one place the tabulated composite for i = n + 3 disagrees with all
+three routes at odd primes, showing the gap is exactly a doubled P-term,
+i.e. one flipped sign, and printing that gap as a polynomial in the Q's.
 """
 import re
 
@@ -78,7 +79,7 @@ print("== R and P one row past the tables, in the Q's (coefficients mod 3) ==")
 
 def in_q(f):
     # y_quotient stores y_t, which stands for Q_{n,t}, as the variable x(t+1)
-    return re.sub(r"x(\d+)", lambda m: f"Q_{{{n},{int(m.group(1)) - 1}}}", format_poly(f))
+    return re.sub(r"x(\d+)", lambda m: f"Q_{{{f.n},{int(m.group(1)) - 1}}}", format_poly(f))
 
 
 i = n + 4
@@ -102,3 +103,13 @@ print("gap is exactly twice the P contribution:", gap == doubled)
 print("so the inner bracket quotients are right and only the sign of the")
 print("P-term differs; the verification harness reports this as a flagged")
 print("case with a witness monomial instead of silently patching it.")
+
+print()
+print("== the same gap in the Q's: 2 (-1)^n Q_{n,0} Phat^p, Phat = P_{n,n+3,s} ==")
+for n, s in ((2, 1), (3, 1)):
+    phat = y_quotient(n, s - 1, n + 2, p)
+    gap = poly_scale(poly_mul(poly_var(1, n, p), frobenius(phat, 1)), (2 * (-1) ** n) % p)
+    print(f"(p, n, s) = ({p}, {n}, {s}):  Phat = {in_q(phat)}")
+    print(f"                     gap  = {in_q(gap)}")
+print("the cor-n3 family flags these cases without building the composite in x;")
+print("its witness, the grevlex-largest x-monomial of the gap, is p lead(L_n P) - lead(L_n)")

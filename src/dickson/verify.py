@@ -4,8 +4,8 @@ Each identity is checked as an exact polynomial equality at concrete
 (p, n, s, i, d) points, never symbolically.  A case either passes, fails
 with a witness (the grevlex-largest monomial where the two sides differ),
 is skipped, with the reason, when a term-count, time or size limit is hit,
-or, for the report-only i = n + 3 corollary, passes with a flag and a
-witness when the tabulated composite disagrees with the direct action.
+or passes with a flag and a witness when a tabulated corollary row differs
+from the theorem in its sign alone (the i = n + 3 row, at odd p).
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
@@ -15,6 +15,16 @@ quotients are small polynomials in y_t = Q_{n,t} (invariants.y_quotient).
 A pass is a proof, since y -> Q is a ring map that commutes with Frobenius.
 routes-agree keeps the x route: it compares st_delta_via_main, built from
 R_coef and P_coef, with the determinant route.
+
+The corollaries cor-n1..3 are the same check at i = n + k
+(_case_closed_form): the certificate at i = n + k, and the row tabulated
+for i = n + k, read in the y's, equal to the y_quotients R and P.  With
+the theorem's sign the case passes; with the plus sign of the cor-n3 row,
+at odd p, the composite misses the action by 2 (-1)**n Q_{n,0} P**p, whose
+leading monomial, the witness, comes from two brackets, so no composite is
+built in x.  A broken link or row fails the case, and runs the x
+comparison, with st_delta_via_main for main and corollary_rhs for a
+corollary, to find its witness.
 
 Reports serialize deterministically: emitting the same Report twice gives
 identical bytes, and two grid runs with the same configuration agree
@@ -33,6 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
 from .fp_poly import (
+    Monomial,
     Poly,
     format_poly,
     frobenius,
@@ -50,6 +61,7 @@ from .fp_poly import (
 from .invariants import (
     BoundExceeded,
     L,
+    _P_bracket,
     bracket,
     case_budget,
     dickson_Q,
@@ -60,6 +72,7 @@ from .invariants import (
     y_quotient,
 )
 from .steenrod import (
+    _COROLLARY_ROWS,
     _L_pow,
     corollary_rhs,
     sign_convention_flag,
@@ -179,8 +192,12 @@ def _compare(lhs: Poly, rhs: Poly) -> _Outcome:
         m for m in set(lhs.terms) | set(rhs.terms)
         if lhs.terms.get(m, 0) != rhs.terms.get(m, 0)
     ]
-    top = max(diff, key=grevlex_key)
-    return False, False, format_poly(Poly._make(lhs.n, lhs.p, {top: 1}))
+    return False, False, _monomial(lhs.n, lhs.p, max(diff, key=grevlex_key))
+
+
+def _monomial(n: int, p: int, m: Monomial) -> str:
+    """A witness: the monomial m in the text grammar."""
+    return format_poly(Poly._make(n, p, {m: 1}))
 
 
 def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outcome:
@@ -229,7 +246,7 @@ def _quotients_proven(n: int, left: int, top: int, p: int) -> bool:
     return j >= top
 
 
-def _certificate_gap(spec: CaseSpec, budget: _Budget) -> Optional[str]:
+def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
     """The first link of the certificate of the main theorem at
     (p, n, s, i) that fails, or None when all four hold.
 
@@ -245,7 +262,7 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget) -> Optional[str]:
     Only links 1 to 3 are built in x, and each step of link 2 once per
     process; the quotients themselves stay in y, where they are small.
     """
-    n, s, i, p = spec.n, spec.s, spec.i, spec.p
+    n, s, p = spec.n, spec.s, spec.p
     if not _case_st_delta_Q(spec, budget, i, st_delta_via_dl2)[0]:
         return "det-formula"
     for left, top in ((s, i), (n - 1, i - 1), (s - 1, i - 1)):
@@ -253,41 +270,96 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget) -> Optional[str]:
             return f"recursion up to [0..{n - 1} without {left}, {top}]"
     if not _case_q0_power(spec, budget)[0]:
         return "q0-power"
-    X, R = y_quotient(n, s, i, p), y_quotient(n, n - 1, i - 1, p)
-    rhs = poly_mul(frobenius(R, 1), poly_var(s + 1, n, p))
-    if s > 0:
-        rhs = poly_sub(rhs, frobenius(y_quotient(n, s - 1, i - 1, p), 1))
+    X = y_quotient(n, s, i, p)
+    R, P, _ = _quotient_row(n, s, i, p)
+    rhs = poly_sub(poly_mul(frobenius(R, 1), poly_var(s + 1, n, p)), frobenius(P, 1))
     budget.guard(X, rhs)
     return None if X == rhs else "free ring"
 
 
-def _case_main(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    """st_delta(Q_{n,s}, i) against the main theorem, decided by the
-    certificate (_certificate_gap).  If a link fails, the x comparison with
-    st_delta_via_main runs: its witness, or, where it finds no difference,
-    one naming the broken link.  A broken certificate never passes."""
-    gap = _certificate_gap(spec, budget)
+# A row (R, P, sign) of the main form, R and P in the Dickson coordinates,
+# as a function of (n, s, i, p).
+_YRow = Callable[[int, int, int, int], Tuple[Poly, Poly, int]]
+
+
+def _quotient_row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
+    """The main theorem's own row: R = [0..n-2, i-1] / L_n and
+    P = [0..n-1 without s-1, i-1] / L_n (zero at s = 0) as y_quotients,
+    with the sign -1."""
+    P = y_quotient(n, s - 1, i - 1, p) if s > 0 else poly_zero(n, p)
+    return y_quotient(n, n - 1, i - 1, p), P, -1
+
+
+def _tabulated_row(k: int) -> _YRow:
+    """The row tabulated for i = n + k (steenrod._COROLLARY_ROWS), read
+    in the Dickson coordinates: q(t, e) = y_t**(p**e), zero for t < 0."""
+    def row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
+        def q(t: int, e: int = 0) -> Poly:
+            return frobenius(poly_var(t + 1, n, p), e) if t >= 0 else poly_zero(n, p)
+
+        return _COROLLARY_ROWS[f"n+{k}"](q, n, s)
+    return row
+
+
+def _lead(f: Poly) -> Monomial:
+    return max(f.terms, key=grevlex_key)
+
+
+def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow,
+                      x_route: Callable[[int, int, int, int], Poly]) -> _Outcome:
+    """st_delta(Q_{n,s}, i) against the main form
+    (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p) at the row (R, P, sign) =
+    row(n, s, i, p), decided without building the form in x.
+
+    The certificate (_certificate_gap) proves the form with the
+    y_quotients R and P and the sign -1.  So if the row's R and P are those
+    y_quotients in F_p[y], the case passes when sign = -1 mod p.  Otherwise
+    (sign +1 at odd p) the form exceeds the action by exactly
+    2 (-1)**n Q_{n,0} P**p = 2 (-1)**n (L_n P)**p / L_n, zero only where the
+    bracket L_n P is.  Such a case is report-only: it passes, flagged, with
+    the witness, the grevlex-largest monomial of that difference; as
+    grevlex is a monomial order and F_p[x] a domain, that is
+    p lead(L_n P) - lead(L_n), read off two n!-term brackets.
+
+    If a link or the row fails, the case fails: the x comparison with
+    x_route(n, s, i, p) runs for its witness, or, where it finds no
+    difference, the witness names the broken link.  So only a row's sign
+    is ever flagged, and a broken certificate never passes.
+    """
+    n, s, p = spec.n, spec.s, spec.p
+    gap = _certificate_gap(spec, budget, i)
     if gap is None:
-        return True, False, None
-    passed, flagged, witness = _case_st_delta_Q(spec, budget, spec.i, st_delta_via_main)
-    if passed:
-        return False, False, f"certificate link {gap} fails"
-    return passed, flagged, witness
+        R, P, sign = row(n, s, i, p)
+        want_R, want_P, _ = _quotient_row(n, s, i, p)
+        if R != want_R:
+            gap = "row R"
+        elif P != want_P:
+            gap = "row P"
+    if gap is None:
+        if (sign + 1) % p == 0:
+            return True, False, None
+        bracket_P = _P_bracket(n, i, s, p)
+        if not bracket_P.terms:
+            return True, False, None
+        top = tuple(p * a - b for a, b in zip(_lead(bracket_P), _lead(L(n, n, p))))
+        return True, True, _monomial(n, p, top)
+    passed, _, witness = _case_st_delta_Q(spec, budget, i, x_route)
+    return False, False, f"certificate link {gap} fails" if passed else witness
+
+
+def _case_main(spec: CaseSpec, budget: _Budget) -> _Outcome:
+    """The main theorem at (p, n, s, i): its own row, with st_delta_via_main
+    as the x route."""
+    return _case_closed_form(spec, budget, spec.i, _quotient_row,
+                             lambda n, s, i, p: st_delta_via_main(n, s, i, p))
 
 
 def _case_cor(k: int) -> _Check:
-    """st_delta(Q_{n,s}, n + k) against the tabulated composite for i = n + k."""
-    return lambda spec, budget: _case_st_delta_Q(
-        spec, budget, spec.n + k,
+    """st_delta(Q_{n,s}, n + k) against the composite tabulated for
+    i = n + k, with corollary_rhs as the x route."""
+    return lambda spec, budget: _case_closed_form(
+        spec, budget, spec.n + k, _tabulated_row(k),
         lambda n, s, i, p: corollary_rhs(f"n+{k}", n, s, p))
-
-
-def _flag_only(check: _Check) -> _Check:
-    """Report-only: a mismatch passes, flagged, and keeps its witness."""
-    def flagged(spec: CaseSpec, budget: _Budget) -> _Outcome:
-        passed, _, witness = check(spec, budget)
-        return True, not passed, witness
-    return flagged
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -399,7 +471,7 @@ _FAMILIES: Dict[str, _Family] = {
         _each_s_i),
     "cor-n1": _Family(_case_cor(1), _each_s),
     "cor-n2": _Family(_case_cor(2), _each_s),
-    "cor-n3": _Family(_flag_only(_case_cor(3)), _each_s),
+    "cor-n3": _Family(_case_cor(3), _each_s),
     "kernel": _Family(
         _case_kernel,
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n + 3), d_max)),

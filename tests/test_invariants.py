@@ -9,12 +9,14 @@ from dickson import invariants
 from dickson.fp_poly import (
     Matrix,
     Poly,
+    frobenius,
     parse_poly,
     poly_add,
     poly_mul,
     poly_one,
     poly_pow,
     poly_scale,
+    poly_sub,
     poly_var,
     poly_zero,
     substitute_linear,
@@ -37,6 +39,7 @@ from dickson.invariants import (
     recursion_rhs,
     y_quotient,
 )
+from dickson.steenrod import corollary_rhs, st_delta
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
 
@@ -217,6 +220,15 @@ class TestDicksonCoordinates:
         # R_{2,6} at p = 3, printed by demo 03: y_t stands for Q_{2,t}
         assert y_quotient(2, 1, 5, 3) == parse_poly(
             "x2^40 + 2*x1^3*x2^36 + 2*x1^9*x2^28 + 2*x1^27*x2^4 + x1^30", 2, 3)
+
+    def test_pinned_cor_n3_gap(self):
+        # the i = n + 3 composite as tabulated minus the action, at
+        # (p, n, s) = (3, 2, 1): 2 (-1)**n y_0 Phat**p, printed by demo 03
+        phat = y_quotient(2, 0, 4, 3)
+        gap = poly_scale(poly_mul(poly_var(1, 2, 3), frobenius(phat, 1)), 2)
+        assert gap == parse_poly("2*x1^4*x2^36 + x1^31", 2, 3)
+        assert at_Q(gap, 3) == poly_sub(
+            corollary_rhs("n+3", 2, 1, 3), st_delta(dickson_Q(2, 1, 3), 5))
 
     def test_far_smaller_than_in_x(self):
         assert len(y_quotient(2, 1, 14, 3).terms) == 377

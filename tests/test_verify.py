@@ -243,7 +243,7 @@ class TestMainCertificate:
         specs = main_specs()
         assert len(specs) == 67 + 54
         for spec in specs:
-            gap = verify._certificate_gap(spec, budget())
+            gap = verify._certificate_gap(spec, budget(), spec.i)
             x_passed, _, _ = verify._case_st_delta_Q(
                 spec, budget(), spec.i, steenrod.st_delta_via_main)
             assert (gap is None) == x_passed, spec
@@ -327,6 +327,116 @@ class TestMainCertificate:
         assert not r.passed and not r.skipped
         assert (False, False, r.witness) == want
         assert len(parse_poly(r.witness, 2, 3).terms) == 1
+
+
+# The cor-n* cases of perfbench's stretch-closed workload, as (p, n, families).
+STRETCH_CLOSED = ((3, 3, ("cor-n1", "cor-n2", "cor-n3")), (2, 4, ("cor-n1", "cor-n2")))
+COROLLARIES = ("cor-n1", "cor-n2", "cor-n3")
+
+
+def cor_specs():
+    specs = grid_cases(GridConfig(theorems=COROLLARIES))
+    for p, n, families in STRETCH_CLOSED:
+        specs += grid_cases(GridConfig(theorems=families, pairs=((p, n),)))
+    return specs
+
+
+def x_route(spec):
+    """The corollary case decided in x: st_delta(Q_{n,s}, n + k) against
+    corollary_rhs, where a cor-n3 mismatch passes, flagged."""
+    k = int(spec.theorem[-1])
+    passed, flagged, witness = verify._case_st_delta_Q(
+        spec, budget(), spec.n + k,
+        lambda n, s, i, p: steenrod.corollary_rhs(f"n+{k}", n, s, p))
+    if spec.theorem == "cor-n3":
+        return True, not passed, witness
+    return passed, flagged, witness
+
+
+def clear_caches():
+    for cached in (verify._step_holds, invariants.y_quotient, invariants.bracket,
+                   invariants.dickson_Q, invariants._dickson_row,
+                   invariants.R_coef, invariants.P_coef):
+        cached.cache_clear()
+
+
+def drop_last_term_of_R(row):
+    # the n+2 row without the Q_{n,n-2}**p term of its R
+    def dropped(q, n, s):
+        _, pp, sign = row(q, n, s)
+        return fp_poly.poly_mul(q(n - 1), q(n - 1, 1)), pp, sign
+    return dropped
+
+
+class TestCorollaryCertificate:
+    def test_certificate_and_x_route_agree(self):
+        # every cor-n* case of the default grid and of the stretch grid
+        specs = cor_specs()
+        assert len(specs) == 33 + 17
+        flags = []
+        for spec in specs:
+            got = verify._FAMILIES[spec.theorem].check(spec, budget())
+            assert got == x_route(spec), spec
+            if got[1]:
+                flags.append((spec.p, spec.n, spec.s, got[2]))
+        assert flags == [(3, 2, 1, "x1^240*x2^8"), (5, 2, 1, "x1^3120*x2^24"),
+                         (3, 3, 1, "x1^720*x2^24*x3^8"), (3, 3, 2, "x1^720*x2^24*x3^2")]
+
+    def test_no_form_is_built_in_x(self, monkeypatch):
+        # with cold caches, every link holds and no case assembles a composite
+        def refuse(*args, **kw):
+            raise AssertionError("composite built in x")
+
+        clear_caches()
+        monkeypatch.setattr(verify, "corollary_rhs", refuse)
+        monkeypatch.setattr(steenrod, "_main_form", refuse)
+        try:
+            report = run_grid(GridConfig(theorems=COROLLARIES))
+        finally:
+            clear_caches()
+        assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
+        assert [(c.spec.p, c.spec.s, c.witness) for c in report.cases if c.flagged] == [
+            (3, 1, "x1^240*x2^8"), (5, 1, "x1^3120*x2^24")]
+
+    def spy_x_route(self, monkeypatch):
+        calls = []
+        real = verify.corollary_rhs
+
+        def spy(which, n, s, p, i=None):
+            calls.append((which, n, s, p))
+            return real(which, n, s, p, i=i)
+
+        monkeypatch.setattr(verify, "corollary_rhs", spy)
+        return calls
+
+    def test_a_broken_link_runs_the_x_route(self, monkeypatch):
+        # a broken certificate fails the case, cor-n3 included: only a
+        # row's sign is flagged
+        calls = self.spy_x_route(monkeypatch)
+        monkeypatch.setattr(verify, "_step_holds", lambda n, left, j, p: False)
+        r = run_case(CaseSpec("cor-n3", 3, 2, s=1))
+        assert calls == [("n+3", 2, 1, 3)]
+        assert (r.passed, r.skipped, r.flagged, r.witness) == (False, False, False, "x1^240*x2^8")
+        # where the x route agrees, the witness names the link
+        for theorem, which in (("cor-n1", "n+1"), ("cor-n3", "n+3")):
+            r = run_case(CaseSpec(theorem, 3, 2, s=0))
+            assert calls[-1] == (which, 2, 0, 3)
+            assert (r.passed, r.skipped, r.flagged) == (False, False, False)
+            assert r.witness.startswith("certificate link recursion up to [0..1 without 0, ")
+
+    def test_a_dropped_row_term_runs_the_x_route(self, monkeypatch):
+        calls = self.spy_x_route(monkeypatch)
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+2",
+                            drop_last_term_of_R(steenrod._COROLLARY_ROWS["n+2"]))
+        report = run_grid(GridConfig(theorems=("cor-n2",), pairs=((2, 2), (3, 2))))
+        assert len(calls) == len(report.cases) == 4
+        for c in report.cases:
+            want = verify._compare(
+                steenrod.st_delta(invariants.dickson_Q(c.spec.n, c.spec.s, c.spec.p), 4),
+                steenrod.corollary_rhs("n+2", c.spec.n, c.spec.s, c.spec.p))
+            assert not c.passed and not c.skipped
+            assert (False, False, c.witness) == want
+            assert len(parse_poly(c.witness, c.spec.n, c.spec.p).terms) == 1
 
 
 class TestReports:
@@ -432,6 +542,24 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-4:] == [f"PASSED: {passed}", "FLAGGED: 0", "SKIPPED: 0", "FAILED: 0"]
+
+    @pytest.mark.parametrize("argv,witnesses", [
+        (["--p", "5", "--n", "3"],
+         {1: "x1^15600*x2^120*x3^24", 2: "x1^15600*x2^120*x3^4"}),
+        (["--p", "7", "--n", "2"], {1: "x1^16800*x2^48"}),
+        (["--p", "3", "--n", "4"], {1: "x1^2160*x2^72*x3^24*x4^8",
+                                    2: "x1^2160*x2^72*x3^24*x4^2",
+                                    3: "x1^2160*x2^72*x3^6*x4^2"}),
+    ])
+    def test_cor_n3_frontier_flags(self, capsys, argv, witnesses):
+        # building the composite in x takes 8-18 s for each (5,3) flag;
+        # s = 0 passes, every other s is flagged
+        rc = main(["--theorem", "cor-n3", "--format", "json"] + argv)
+        assert rc == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert [(c["passed"], c["skipped"], c["flagged"]) for c in cases] == \
+            [(True, False, False)] + [(True, False, True)] * len(witnesses)
+        assert {c["s"]: c["witness"] for c in cases if c["flagged"]} == witnesses
 
     @pytest.mark.parametrize("argv", [
         ["--p", "2"],
