@@ -9,12 +9,12 @@ generate the full ring of GL(n, F_p) invariants in F_p[x1..xn], with
 Q_{n,0} equal to L_n ** (p-1).
 
 Also here: the length-n recursion that rewrites a bracket with last entry
-raised by n; the bracket quotients P_coef and R_coef that appear in closed
-forms for the primitive Steenrod operations, built by that recursion
-divided by L_n, so that Q, R and P all come from products and nothing is
-divided; the same quotients in Dickson coordinates, as polynomials in
-y_t = Q_{n,t} (y_quotient), one step of the recursion serving all three;
-and exact GL(n, F_p) machinery (generators, enumeration,
+raised by n; the bracket quotients [0..n-1 without left, j] / L_n, built
+by that recursion divided by L_n in one body (_quotient) for both
+coordinate systems, so that nothing is divided: in x, through Q_{n,t},
+they are P_coef and R_coef, which appear in closed forms for the primitive
+Steenrod operations; in Dickson coordinates, through y_t = Q_{n,t}, they
+are y_quotient; and exact GL(n, F_p) machinery (generators, enumeration,
 invariance tests, invariant dimension counts by degree).
 """
 from __future__ import annotations
@@ -54,9 +54,9 @@ class BoundExceeded(ValueError):
     """A configurable enumeration bound would be exceeded."""
 
 
-# The budget of the verification case being run, or None.  The quotient
-# recursion calls its before_product(f_terms, g_terms) before each product,
-# which raises to stop the case.
+# The budget of the verification case being run, or None.  The bracket
+# recursion and the main form call its before_product(f_terms, g_terms)
+# before their products (_ask_budget), which raises to stop the case.
 case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
@@ -169,6 +169,12 @@ def _check_P_index(n: int, i: int, s: int) -> None:
         raise ValueError(f"need i >= 1, got {i}")
 
 
+def _prefix(n: int, left: int) -> ESeq:
+    """0, .., n-1 with left left out: the bracket [prefix, j] is L_n times
+    the quotient at (left, j)."""
+    return tuple(k for k in range(n) if k != left)
+
+
 def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
     """The bracket [0, .., s-1 omitted, .., n-1, i-1], zero when s = 0.
 
@@ -177,7 +183,16 @@ def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
     _check_P_index(n, i, s)
     if s == 0:
         return poly_zero(n, p)
-    return bracket(n, tuple(k for k in range(n) if k != s - 1) + (i - 1,), p)
+    return bracket(n, _prefix(n, s - 1) + (i - 1,), p)
+
+
+def _ask_budget(*products: Tuple[Poly, Poly]) -> None:
+    """Ask the case budget, if set, about every product f g before any is
+    formed."""
+    budget = case_budget.get()
+    if budget is not None:
+        for f, g in products:
+            budget.before_product(len(f.terms), len(g.terms))
 
 
 def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
@@ -185,17 +200,13 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     """sum over t in 0..n-1 of (-1)**(n+t-1) lows[t] base(t)**(p**e).
 
     The one step of the length-n bracket recursion, shared by the bracket
-    side (recursion_rhs, base(t) = Q_{n,t}), its quotient by L_n
-    (_divided_recursion) and the same quotient in Dickson coordinates
-    (y_quotient, base(t) = y_t).  base(t) is built only for a nonzero
-    lows[t]; the case budget, if set, is asked about every product before
-    any is formed.
+    side (recursion_rhs, base(t) = Q_{n,t}) and its quotients by L_n
+    (_quotient, base(t) = Q_{n,t} in x or y_t in Dickson coordinates).
+    base(t) is built only for a nonzero lows[t]; the case budget, if set,
+    is asked about every product before any is formed.
     """
     factors = [(t, low, base(t)) for t, low in enumerate(lows) if low.terms]
-    budget = case_budget.get()
-    if budget is not None:
-        for _, low, b in factors:
-            budget.before_product(len(low.terms), len(b.terms))
+    _ask_budget(*((low, b) for _, low, b in factors))
     total = poly_zero(n, p)
     for t, low, b in factors:
         term = poly_mul(low, frobenius(b, e))
@@ -203,49 +214,57 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     return total
 
 
-def _divided_recursion(n: int, i: int, p: int, quotient: Callable[[int], Poly]) -> Poly:
-    """[prefix, i-1] / L_n for i > n, given quotient(j) = [prefix, j-1] / L_n:
+def _quotient(n: int, left: int, j: int, p: int, lower: Callable[[int], Poly],
+              base: Callable[[int], Poly]) -> Poly:
+    """The bracket quotient [_prefix(n, left), j] / L_n, given lower(k), the
+    same quotient at k < j, and base(t), Q_{n,t} in x or y_t in Dickson
+    coordinates.
 
-        sum over t in 0..n-1 of (-1)**(n+t-1) quotient(i-n+t) Q_{n,t}**(p**(i-1-n))
+    For j < n it is (-1)**(n-1-left) at j = left, where the bracket is L_n
+    with its rows permuted, and 0 otherwise (a repeated row).  Above that
+    it is recursion_rhs(n, prefix, j - n, p) divided by L_n, with base(t)
+    in place of Q_{n,t}:
 
-    which is recursion_rhs(n, prefix, i-1-n, p) divided by L_n.
+        F(e + n) = sum over t of (-1)**(n+t-1) F(e + t) base(t)**(p**e).
+
+    R_coef, P_coef and y_quotient are cached views of this one body.
     """
-    lows = [quotient(i - n + t) for t in range(n)]
-    return _recursion_sum(n, i - 1 - n, p, lows, lambda t: dickson_Q(n, t, p))
+    if j < n:
+        return poly_const(_sign_unit(n - 1 - left, p), n, p) if j == left else poly_zero(n, p)
+    return _recursion_sum(n, j - n, p, [lower(j - n + t) for t in range(n)], base)
 
 
 @lru_cache(maxsize=None)
 def P_coef(n: int, i: int, s: int, p: int) -> Poly:
     """The bracket quotient [0, .., s-1 omitted, .., n-1, i-1] / L_n, that
-    is _P_bracket(n, i, s, p) / L_n.
+    is _P_bracket(n, i, s, p) / L_n: the quotient at (left, j) =
+    (s - 1, i - 1) in x (_quotient), with no division.
 
     Zero when s = 0, and automatically zero whenever i - 1 collides with a
     retained entry (the bracket then has a repeated row).  Homogeneous of
-    degree p**(i-1) - p**(s-1) otherwise.  For i <= n it is (-1)**(n-s) at
-    i = s, where the bracket is L_n with its rows permuted, and zero
-    otherwise; above n it comes from the divided recursion
-    (_divided_recursion), with no division.  A form that needs only L_n P
-    takes the bracket itself.
+    degree p**(i-1) - p**(s-1) otherwise; for i <= n it is (-1)**(n-s) at
+    i = s and zero otherwise.  A form that needs only L_n P takes the
+    bracket itself.
     """
     _check_P_index(n, i, s)
-    if s == 0 or i <= n:
-        return poly_const(_sign_unit(n - s, p), n, p) if i == s else poly_zero(n, p)
-    return _divided_recursion(n, i, p, lambda j: P_coef(n, j, s, p))
+    if s == 0:
+        return poly_zero(n, p)
+    return _quotient(n, s - 1, i - 1, p, lambda j: P_coef(n, j + 1, s, p),
+                     lambda t: dickson_Q(n, t, p))
 
 
 @lru_cache(maxsize=None)
 def R_coef(n: int, i: int, p: int) -> Poly:
-    """The bracket quotient [0, 1, .., n-2, i-1] / L_n.
+    """The bracket quotient [0, 1, .., n-2, i-1] / L_n: the quotient at
+    (left, j) = (n - 1, i - 1) in x (_quotient), with no division.
 
     Equals 1 at i = n, vanishes for 1 <= i <= n - 1, and is homogeneous of
-    degree p**(i-1) - p**(n-1) for i > n, where it comes from the divided
-    recursion (_divided_recursion), with no division.
+    degree p**(i-1) - p**(n-1) for i > n.
     """
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    if i <= n:
-        return poly_one(n, p) if i == n else poly_zero(n, p)
-    return _divided_recursion(n, i, p, lambda j: R_coef(n, j, p))
+    return _quotient(n, n - 1, i - 1, p, lambda j: R_coef(n, j + 1, p),
+                     lambda t: dickson_Q(n, t, p))
 
 
 def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
@@ -270,33 +289,24 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
 @lru_cache(maxsize=None)
 def y_quotient(n: int, left: int, j: int, p: int) -> Poly:
     """The bracket quotient [0, .., left omitted, .., n-1, j] / L_n in
-    Dickson coordinates: a polynomial in y_0, .., y_{n-1}, stored as an
-    n-variable Poly whose variable x(t+1) is y_t, that becomes the quotient
-    under y_t -> Q_{n,t}.
-
-    For j < n it is (-1)**(n-1-left) at j = left, where the bracket is L_n
-    with its rows permuted, and 0 otherwise (a repeated row).  Above that it
-    follows the bracket recursion divided by L_n, with y_t in place of
-    Q_{n,t}:
-
-        F(e + n) = sum over t of (-1)**(n+t-1) F(e + t) y_t**(p**e).
+    Dickson coordinates (_quotient with base(t) = y_t): a polynomial in
+    y_0, .., y_{n-1}, stored as an n-variable Poly whose variable x(t+1) is
+    y_t, that becomes the quotient under y_t -> Q_{n,t}.
 
     y -> Q is a ring map that commutes with Frobenius, so wherever the
     recursion instances [prefix, e + n] = recursion_rhs(n, prefix, e, p)
-    hold, the image of F(j) times L_n is the bracket.  R_coef(n, i, p) is
-    the image of y_quotient(n, n - 1, i - 1, p), P_coef(n, i, s, p) that of
-    y_quotient(n, s - 1, i - 1, p); both are far smaller here (R_{2,15} at
-    p = 3: 377 terms against 2,391,484).
+    hold, the image of y_quotient(n, left, j, p) times L_n is the bracket.
+    R_coef(n, i, p) is the image of y_quotient(n, n - 1, i - 1, p),
+    P_coef(n, i, s, p) that of y_quotient(n, s - 1, i - 1, p); both are far
+    smaller here (R_{2,15} at p = 3: 377 terms against 2,391,484).
     """
     require_prime(p)
     if not 0 <= left < n:
         raise ValueError(f"left = {left} outside 0..{n - 1}")
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    if j < n:
-        return poly_const(_sign_unit(n - 1 - left, p), n, p) if j == left else poly_zero(n, p)
-    lows = [y_quotient(n, left, j - n + t, p) for t in range(n)]
-    return _recursion_sum(n, j - n, p, lows, lambda t: poly_var(t + 1, n, p))
+    return _quotient(n, left, j, p, lambda k: y_quotient(n, left, k, p),
+                     lambda t: poly_var(t + 1, n, p))
 
 
 def gl_order(n: int, p: int) -> int:
@@ -419,29 +429,21 @@ def _transvection_image(m: Monomial, p: int,
         yield (a + k, b - k) + rest, c
 
 
-def _is_diagonal(m: Matrix) -> bool:
-    return all(not v for r, row in enumerate(m.entries) for c, v in enumerate(row) if r != c)
-
-
-def _is_monomial(m: Matrix) -> bool:
-    # One nonzero entry per row: m permutes and scales the variables.
-    return all(sum(1 for v in row if v) == 1 for row in m.entries)
-
-
 def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
-    Exact linear algebra on a basis of the invariants of the monomial part
-    of gl_generators: the n-cycle C and, for p > 2, D = diag(g, 1, .., 1).
-    The conjugates of D by powers of C generate the diagonal torus, which
-    scales each monomial by a character; so the invariants of <C, D> are
-    spanned by the C-orbit sums of the monomials whose exponents are all
-    multiples of p - 1 (L. Smith, Polynomial Invariants of Finite Groups,
-    1995; Derksen and Kemper, Computational Invariant Theory, 2002).  At
-    p = 2 there is no D and every monomial counts.
+    GL(n, F_p) is generated by the n-cycle C, D = diag(g, 1, .., 1) for a
+    primitive root g mod p, and, for n >= 2, the transvection T = I + E_12
+    (see gl_generators).  Exact linear algebra on a basis of the invariants
+    of <C, D>: the conjugates of D by powers of C generate the diagonal
+    torus, which scales each monomial by a character; so the invariants of
+    <C, D> are spanned by the C-orbit sums of the monomials whose exponents
+    are all multiples of p - 1 (L. Smith, Polynomial Invariants of Finite
+    Groups, 1995; Derksen and Kemper, Computational Invariant Theory,
+    2002).  At p = 2, D is the identity and every monomial counts.
 
-    The GL-invariants are the kernel of T - I on that basis, T = I + E_12
-    the one generator that is not monomial.  Each orbit sum gives one
+    The GL-invariants are the kernel of T - I on that basis, T the one
+    generator that is not monomial.  Each orbit sum gives one
     sparse row, its image under T - I read off Lucas binomials
     (x1**a x2**b r -> sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r);
     the rows are reduced mod p against pivot rows stored under their least
@@ -459,15 +461,12 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
         raise BoundExceeded(
             f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
         )
-    gens = gl_generators(n, p)
-    step = p - 1 if any(_is_diagonal(m) for m in gens) else 1
-    transvection = not all(_is_monomial(m) for m in gens)
     orbits = 0
     pivots: Dict[Monomial, Dict[Monomial, int]] = {}
     lucas: Dict[int, List[Tuple[int, int]]] = {}
-    for orbit in _cyclic_orbits(n, d, step):
+    for orbit in _cyclic_orbits(n, d, p - 1):
         orbits += 1
-        if not transvection:
+        if n < 2:
             continue
         row: Dict[Monomial, int] = {}
         for m in orbit:

@@ -31,14 +31,9 @@ exhibit the discrepancy at odd primes with a witness.
 
 Every closed form is assembled from the brackets behind the Dickson
 invariants, through the two identities Q_{n,0} = L_n**(p-1) and
-Q_{n,s} L_n = L(n, s).  The main form becomes
-(-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p), whose bracketed sum is
-the n!-term bracket [0, .., s omitted, .., n-1, i] whenever the theorem
-holds: it cancels as it is formed, where multiplying the wide sum
-R**p Q_{n,s} - P**p by Q_{n,0} would build it in full first.  The kernel
-form takes (Q_{n,0} P)**p as (L_n**(p-2) (L_n P))**p, and L_n P is the
-bracket [0, .., s-1 omitted, .., n-1, i-1] that P is the quotient of, so
-it divides nothing and multiplies no quotient back by L_n.
+Q_{n,s} L_n = L(n, s), so that each product cancels as it is formed (see
+_main_form and corollary_rhs).  The tabulated rows are read by one helper,
+_read_row, in x here and in the Dickson coordinates by the harness.
 """
 from __future__ import annotations
 
@@ -57,7 +52,9 @@ from .fp_poly import (
     poly_sub,
     poly_zero,
 )
-from .invariants import L, P_coef, R_coef, _P_bracket, _sign_unit, bracket, dickson_Q
+from .invariants import (
+    L, P_coef, R_coef, _P_bracket, _ask_budget, _prefix, _sign_unit, bracket, dickson_Q,
+)
 
 
 def _bounded_compositions(caps: Tuple[int, ...], k: int) -> Iterator[Tuple[int, ...]]:
@@ -148,8 +145,7 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    entries = tuple(k for k in range(n) if k != s) + (i,)
-    value = poly_mul(bracket(n, entries, p), _L_pow(n, p))
+    value = poly_mul(bracket(n, _prefix(n, s) + (i,), p), _L_pow(n, p))
     return poly_scale(value, _sign_unit(n, p))
 
 
@@ -172,12 +168,17 @@ def _main_form(n: int, s: int, p: int, R: Poly, P: Poly, sign: int) -> Poly:
     [0, .., s omitted, .., n-1, i], so each product cancels as it is formed
     and none is wider than |R| n! or |P| n! term pairs.  In the order
     written, R**p Q_{n,s} - P**p is built in full (38,596 terms at
-    (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0} cancels it down.
+    (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0} cancels it down.  Where the
+    sum is no bracket (a wrong row), the last product can be wide, so the
+    case budget, if set, is asked before each product.
     """
     combine = poly_add if sign == 1 else poly_sub
-    inner = combine(poly_mul(frobenius(R, 1), L(n, s, p)),
-                    poly_mul(L(n, n, p), frobenius(P, 1)))
-    return poly_scale(poly_mul(_L_pow(n, p), inner), _sign_unit(n, p))
+    r_p, l_s, l_n, p_p = frobenius(R, 1), L(n, s, p), L(n, n, p), frobenius(P, 1)
+    _ask_budget((r_p, l_s), (l_n, p_p))
+    inner = combine(poly_mul(r_p, l_s), poly_mul(l_n, p_p))
+    l_pow = _L_pow(n, p)
+    _ask_budget((l_pow, inner))
+    return poly_scale(poly_mul(l_pow, inner), _sign_unit(n, p))
 
 
 def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
@@ -216,8 +217,9 @@ def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
     return poly_zero(n, p)
 
 
-# The corollary rows (R, P, sign) for i = n + 1, n + 2, n + 3, as tabulated;
-# q(t, e) is Q_{n,t}**(p**e), zero for t < 0.
+# The corollary rows (R, P, sign) for i = n + 1, n + 2, n + 3, as tabulated
+# in the Dickson invariants; q(t, e) is Q_{n,t}**(p**e), zero for t < 0
+# (see _read_row).
 _Row = Tuple[Poly, Poly, int]
 
 
@@ -245,6 +247,15 @@ def _row_n3(q: Callable[..., Poly], n: int, s: int) -> _Row:
 _COROLLARY_ROWS = {"n+1": _row_n1, "n+2": _row_n2, "n+3": _row_n3}
 
 
+def _read_row(which: str, n: int, s: int, p: int, base: Callable[[int], Poly]) -> _Row:
+    """The row _COROLLARY_ROWS[which] read with q(t, e) = base(t)**(p**e),
+    zero for t < 0: base(t) is Q_{n,t} in x, or y_t in Dickson coordinates."""
+    def q(t: int, e: int = 0) -> Poly:
+        return frobenius(base(t), e) if t >= 0 else poly_zero(n, p)
+
+    return _COROLLARY_ROWS[which](q, n, s)
+
+
 def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -> Poly:
     """Tabulated right-hand sides of the corollaries of the main theorem.
 
@@ -263,25 +274,17 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
                     namely (-1)**(n+1) (Q_{n,0} P_{n,i,s})**p, a p-th power up
                     to sign and hence killed by a second application.
 
-    Both are assembled from brackets (see _main_form): Q_{n,0} = L_n**(p-1)
-    and Q_{n,s} L_n = L(n, s) turn the main form into
-    (-1)**n L_n**(p-2) (R**p L(n, s) + sign L_n P**p), and the kernel form's
-    Q_{n,0} P into L_n**(p-2) (L_n P).  So each product cancels at once
-    instead of passing through a wide sum.  The kernel form takes L_n P as
-    the n!-term bracket [0, .., s-1 omitted, .., n-1, i-1] itself
-    (_P_bracket), whose quotient by L_n is P_coef: it needs neither that
-    quotient nor the product that would undo it.
+    Both are assembled from brackets (see _main_form): the kernel form's
+    Q_{n,0} P is L_n**(p-2) (L_n P), and it takes L_n P as the n!-term
+    bracket [0, .., s-1 omitted, .., n-1, i-1] itself (_P_bracket), so it
+    needs neither the quotient P_coef nor the product that would undo it.
 
     Out-of-range Dickson indices follow the Q_{n,t} = 0 (t < 0) convention.
     """
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
-    row = _COROLLARY_ROWS.get(which)
-    if row is not None:
-        def q(t: int, e: int = 0) -> Poly:
-            return frobenius(dickson_Q(n, t, p), e)
-
-        return _main_form(n, s, p, *row(q, n, s))
+    if which in _COROLLARY_ROWS:
+        return _main_form(n, s, p, *_read_row(which, n, s, p, lambda t: dickson_Q(n, t, p)))
     if which == "kernel":
         if i is None:
             raise ValueError("the kernel form needs the operation index i")

@@ -14,13 +14,15 @@ side, and one identity in the free ring F_p[y_0..y_{n-1}], where the
 quotients are small polynomials in y_t = Q_{n,t} (invariants.y_quotient).
 A pass is a proof, since y -> Q is a ring map that commutes with Frobenius.
 routes-agree keeps the x route: it compares st_delta_via_main, built from
-R_coef and P_coef, with the determinant route.
+R_coef and P_coef, the same quotients in x (one body builds both), with
+the determinant route.
 
 The corollaries cor-n1..3 are the same check at i = n + k
 (_case_closed_form): the certificate at i = n + k, and the row tabulated
-for i = n + k, read in the y's, equal to the y_quotients R and P.  With
-the theorem's sign the case passes; with the plus sign of the cor-n3 row,
-at odd p, the composite misses the action by 2 (-1)**n Q_{n,0} P**p, whose
+for i = n + k, read in the y's by the reader the x side uses
+(steenrod._read_row), equal to the y_quotients R and P.  With the
+theorem's sign the case passes; with the plus sign of the cor-n3 row, at
+odd p, the composite misses the action by 2 (-1)**n Q_{n,0} P**p, whose
 leading monomial, the witness, comes from two brackets, so no composite is
 built in x.  A broken link or row fails the case, and runs the x
 comparison, with st_delta_via_main for main and corollary_rhs for a
@@ -62,6 +64,7 @@ from .invariants import (
     BoundExceeded,
     L,
     _P_bracket,
+    _prefix,
     bracket,
     case_budget,
     dickson_Q,
@@ -72,8 +75,8 @@ from .invariants import (
     y_quotient,
 )
 from .steenrod import (
-    _COROLLARY_ROWS,
     _L_pow,
+    _read_row,
     corollary_rhs,
     sign_convention_flag,
     smith_switzer_value,
@@ -223,7 +226,7 @@ def _step_holds(n: int, left: int, j: int, p: int) -> bool:
     the base case [prefix, j] = L_n y_quotient(n, left, j, p), a constant;
     above, the recursion instance [prefix, j] = recursion_rhs(n, prefix,
     j - n, p)."""
-    prefix = tuple(k for k in range(n) if k != left)
+    prefix = _prefix(n, left)
     lhs = bracket(n, prefix + (j,), p)
     if j < n:
         return lhs == poly_mul(L(n, n, p), y_quotient(n, left, j, p))
@@ -290,17 +293,6 @@ def _quotient_row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
     return y_quotient(n, n - 1, i - 1, p), P, -1
 
 
-def _tabulated_row(k: int) -> _YRow:
-    """The row tabulated for i = n + k (steenrod._COROLLARY_ROWS), read
-    in the Dickson coordinates: q(t, e) = y_t**(p**e), zero for t < 0."""
-    def row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
-        def q(t: int, e: int = 0) -> Poly:
-            return frobenius(poly_var(t + 1, n, p), e) if t >= 0 else poly_zero(n, p)
-
-        return _COROLLARY_ROWS[f"n+{k}"](q, n, s)
-    return row
-
-
 def _lead(f: Poly) -> Monomial:
     return max(f.terms, key=grevlex_key)
 
@@ -356,10 +348,14 @@ def _case_main(spec: CaseSpec, budget: _Budget) -> _Outcome:
 
 def _case_cor(k: int) -> _Check:
     """st_delta(Q_{n,s}, n + k) against the composite tabulated for
-    i = n + k, with corollary_rhs as the x route."""
+    i = n + k: the row read in the Dickson coordinates (steenrod._read_row
+    with base(t) = y_t), and corollary_rhs, which reads it in x, as the x
+    route."""
+    which = f"n+{k}"
     return lambda spec, budget: _case_closed_form(
-        spec, budget, spec.n + k, _tabulated_row(k),
-        lambda n, s, i, p: corollary_rhs(f"n+{k}", n, s, p))
+        spec, budget, spec.n + k,
+        lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)),
+        lambda n, s, i, p: corollary_rhs(which, n, s, p))
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -369,7 +365,7 @@ def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
     i = n + 4, the default top index."""
     n, p = spec.n, spec.p
     box = [(prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)]
-    box += [(tuple(k for k in range(n) if k != left), 3) for left in range(n)]
+    box += [(_prefix(n, left), 3) for left in range(n)]
     for prefix, e in box:
         budget.checkpoint()
         lhs = bracket(n, prefix + (e + n,), p)

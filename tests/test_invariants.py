@@ -39,7 +39,7 @@ from dickson.invariants import (
     recursion_rhs,
     y_quotient,
 )
-from dickson.steenrod import corollary_rhs, st_delta
+from dickson.steenrod import _COROLLARY_ROWS, _read_row, corollary_rhs, st_delta
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
 
@@ -192,12 +192,27 @@ class TestDicksonQRow:
 
 class TestDicksonCoordinates:
     def test_base_cases(self):
-        # [0..n-1 without left, left] is L_n after n-1-left row swaps
+        # [0..n-1 without left, left] is L_n after n-1-left row swaps; the x
+        # views R_coef (left = n-1) and P_coef (left = s-1) share the rule
         for n, p in [(2, 3), (3, 5), (4, 2)]:
             for left in range(n):
                 for j in range(n):
                     want = poly_scale(poly_one(n, p), (-1) ** (n - 1 - left) % p)
-                    assert y_quotient(n, left, j, p) == (want if j == left else poly_zero(n, p))
+                    want = want if j == left else poly_zero(n, p)
+                    assert y_quotient(n, left, j, p) == want
+                    if left == n - 1:
+                        assert R_coef(n, j + 1, p) == want
+                    else:
+                        assert P_coef(n, j + 1, left + 1, p) == want
+                    assert P_coef(n, j + 1, 0, p).is_zero()
+
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+    def test_rows_read_in_y_map_to_the_rows_read_in_x(self, p, n):
+        for which in _COROLLARY_ROWS:
+            for s in range(n):
+                in_y = _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p))
+                in_x = _read_row(which, n, s, p, lambda t: dickson_Q(n, t, p))
+                assert (at_Q(in_y[0], p), at_Q(in_y[1], p), in_y[2]) == in_x
 
     @pytest.mark.parametrize("p,n,i_top", [
         (2, 2, 6), (3, 2, 6), (5, 2, 6), (2, 3, 7), (3, 3, 6), (2, 4, 6),
@@ -418,7 +433,9 @@ class TestGLGroup:
         assert len(gl_generators(4, 2)) == 2
 
     def test_generators_pinned(self):
-        # the dimension oracle reads its cases off these exact matrices
+        # the dimension oracle hard-codes these cases: the n-cycle, the
+        # diagonal diag(g, 1, .., 1) (the identity at p = 2, so left out),
+        # and I + E_12 exactly when n >= 2
         def mats(p, *rows):
             return tuple(Matrix(p, m) for m in rows)
 

@@ -20,8 +20,8 @@ from dickson.fp_poly import (
 from dickson import steenrod, verify
 from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
-    _COROLLARY_ROWS,
     _main_form,
+    _read_row,
     binom_mod_p,
     corollary_rhs,
     sign_convention_flag,
@@ -285,12 +285,9 @@ class TestCorollaryForms:
     def test_rows_are_the_bracket_quotients(self, p, n):
         # Each tabulated row holds R_{n,n+k} and P_{n,n+k,s} exactly; only the
         # n+3 sign departs from the minus of the main theorem.
-        def q(t, e=0):
-            return frobenius(dickson_Q(n, t, p), e)
-
         for k, want_sign in [(1, -1), (2, -1), (3, 1)]:
             for s in range(n):
-                rr, pp, sign = _COROLLARY_ROWS[f"n+{k}"](q, n, s)
+                rr, pp, sign = _read_row(f"n+{k}", n, s, p, lambda t: dickson_Q(n, t, p))
                 assert rr == R_coef(n, n + k, p)
                 assert pp == P_coef(n, n + k, s, p)
                 assert sign == want_sign
@@ -300,9 +297,6 @@ class TestCorollaryForms:
         # _main_form multiplies by L(n, s), L_n and L_n**(p-2) where the
         # theorem reads Q_{n,s} and Q_{n,0}; both signs, so rows that do not
         # collapse to a bracket (the n+3 row at odd p) are covered too.
-        def q(t, e=0):
-            return frobenius(dickson_Q(n, t, p), e)
-
         for s in range(n):
             for i in range(1, n + 4):
                 R, P = R_coef(n, i, p), P_coef(n, i, s, p)
@@ -310,7 +304,8 @@ class TestCorollaryForms:
                 if i > n:
                     # The row holds the same R and P (see the test above), so
                     # it shares the reference.
-                    inputs.append(_COROLLARY_ROWS[f"n+{i - n}"](q, n, s)[:2])
+                    inputs.append(_read_row(f"n+{i - n}", n, s, p,
+                                            lambda t: dickson_Q(n, t, p))[:2])
                 for sign in {1, p - 1}:  # -1 is +1 at p = 2
                     want = q_main_form(n, s, p, R, P, sign)
                     for rr, pp in inputs:

@@ -175,6 +175,32 @@ class TestRunCase:
         assert pairs and max(pairs) <= 10 ** 6
         assert case_budget.get() is None
 
+    def test_main_form_stops_before_a_wide_product(self, monkeypatch):
+        # with the first term of the n+3 row's Rhat dropped, cor-n3 at
+        # (5,3,1) runs the x route for its witness; the main form's last
+        # product, L_n**(p-2) by the wide sum, would be 9,252,792 term pairs
+        real = steenrod._COROLLARY_ROWS["n+3"]
+
+        def broken(q, n, s):
+            rr, pp, sign = real(q, n, s)
+            return fp_poly.poly_sub(rr, q(n - 3, 2)), pp, sign
+
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3", broken)
+        pairs = []
+        mul = fp_poly.poly_mul
+
+        def spy(f, g):
+            pairs.append(len(f.terms) * len(g.terms))
+            return mul(f, g)
+
+        for module in (fp_poly, invariants, steenrod, verify):
+            monkeypatch.setattr(module, "poly_mul", spy)
+        r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=10 ** 6)
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "a product of 54 by 171348 terms exceeds the budget 1000000"
+        assert pairs and max(pairs) <= 10 ** 6
+        assert case_budget.get() is None
+
     def test_main_passes_where_the_x_route_runs_over_budget(self):
         # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
         r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
@@ -255,7 +281,9 @@ class TestMainCertificate:
             raise AssertionError("x quotient built")
 
         monkeypatch.setattr(verify, "st_delta_via_main", refuse)
-        monkeypatch.setattr(invariants, "_divided_recursion", refuse)
+        for module in (invariants, steenrod):
+            monkeypatch.setattr(module, "R_coef", refuse)
+            monkeypatch.setattr(module, "P_coef", refuse)
         report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (2, 3))))
         assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
 
