@@ -10,11 +10,15 @@ The monomial order used everywhere (formatting, witnesses) is graded
 reverse lexicographic: compare total degree first, and break ties by the
 *last* position where the exponents differ, smaller exponent wins.
 
-Exponent tuples are the only stored form of a monomial.  Inside poly_mul
-each monomial is packed into one Python int, with one bit field per
-variable, sized from the operands so that no field can carry into the
-next; multiplying two monomials is then one integer addition (packed
-exponent vectors, after Monagan and Pearce).  Packing never leaves that
+Exponent tuples are the only stored form of a monomial.  Every product
+goes through one kernel, poly_dot, which sums c * f * g over a list of
+triples (poly_mul is its one-product call).  Inside it each monomial is
+packed into one Python int, with one bit field per variable, sized from
+all the operands so that no field can carry into the next; multiplying two
+monomials is then one integer addition, and every product of the sum adds
+into one accumulator, so a sum that cancels is never built in full
+(packed exponent vectors, after Monagan and Pearce, Sparse polynomial
+multiplication and division in Maple 14, 2009).  Packing never leaves that
 function.
 
 Also here: binomial coefficients mod p by Lucas' theorem, shared by the
@@ -28,7 +32,7 @@ safe without defensive copying.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 Terms = Dict[Monomial, int]
@@ -259,48 +263,73 @@ def poly_scale(f: Poly, c: int) -> Poly:
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
-    """The product f * g.
+    """The product f * g: the one-product call of poly_dot."""
+    return poly_dot(((1, f, g),), f.n, f.p)
 
-    A single-term operand just shifts the other operand's monomials.
-    Otherwise each monomial is packed into one int, variable j in a bit
-    field as wide as the largest xj exponent the product can hold, so no
-    field carries and a monomial product is one integer addition.  The raw
-    coefficient products are summed per packed monomial, reduced mod p once
-    at the end, and only the surviving terms are unpacked.
+
+def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly:
+    """The sum of c * f * g over the (c, f, g) triples, all in the ring
+    F_p[x1..xn]; zero for no triples.
+
+    One product with a single-term operand just shifts the other operand's
+    monomials.  Otherwise every monomial is packed into one int, in one
+    layout shared by all the products: variable j gets a bit field as wide
+    as the largest xj exponent any of the products can hold, so no field
+    carries and a monomial product is one integer addition.  The raw
+    coefficient products of every triple add into one accumulator keyed by
+    packed monomial, which is reduced mod p once at the end, and only the
+    surviving terms are unpacked: a sum that cancels down to a few terms
+    never builds its products in full.
     """
-    _same_ring(f, g)
-    if not f.terms or not g.terms:
-        return Poly._make(f.n, f.p, {})
-    if f.degree() + g.degree() >= EXPONENT_LIMIT:
-        raise OverflowError("product degree would exceed 2**63")
-    if len(f.terms) > len(g.terms):
-        f, g = g, f
-    p = f.p
-    if len(f.terms) == 1:
+    work = []
+    for c, f, g in products:
+        if f.n != n or f.p != p or g.n != n or g.p != p:
+            raise ShapeError(
+                f"ring mismatch: (n={f.n}, p={f.p}) * (n={g.n}, p={g.p}) in (n={n}, p={p})"
+            )
+        c %= p
+        if c and f.terms and g.terms:
+            if len(f.terms) > len(g.terms):
+                f, g = g, f
+            work.append((c, f, g))
+    if not work:
+        return Poly._make(n, p, {})
+    if len(work) == 1 and len(work[0][1].terms) == 1:
+        [(c, f, g)] = work
         [(m1, c1)] = f.terms.items()
-        return Poly._make(f.n, p, {
+        if sum(m1) + g.degree() >= EXPONENT_LIMIT:
+            raise OverflowError("product degree would exceed 2**63")
+        c1 = c1 * c % p
+        return Poly._make(n, p, {
             tuple(a + b for a, b in zip(m1, m2)): c1 * c2 % p for m2, c2 in g.terms.items()
         })
+    columns = []
+    tops = [0] * n  # the largest exponent of each variable in any product
+    for c, f, g in work:
+        fcols, gcols = list(zip(*f.terms)), list(zip(*g.terms))
+        fmax, gmax = list(map(max, fcols)), list(map(max, gcols))
+        # the column maxima bound the degree; the exact one is read only near the limit
+        if (sum(fmax) + sum(gmax) >= EXPONENT_LIMIT
+                and f.degree() + g.degree() >= EXPONENT_LIMIT):
+            raise OverflowError("product degree would exceed 2**63")
+        tops = [max(t, a + b) for t, a, b in zip(tops, fmax, gmax)]
+        columns.append((c, fcols, f.terms.values(), gcols, g.terms.values()))
     fields = []
     shift = 0
-    fk = [0] * len(f.terms)
-    gk = [0] * len(g.terms)
-    for j in range(f.n):
-        fcol = [m[j] for m in f.terms]
-        gcol = [m[j] for m in g.terms]
-        width = (max(fcol) + max(gcol)).bit_length()
-        if width:
-            fk = [k + (a << shift) for k, a in zip(fk, fcol)]
-            gk = [k + (a << shift) for k, a in zip(gk, gcol)]
+    for top in tops:
+        width = top.bit_length()
         fields.append((shift, (1 << width) - 1))
         shift += width
-    gp = list(zip(gk, g.terms.values()))
     acc: Dict[int, int] = {}
     get = acc.get
-    for k1, c1 in zip(fk, f.terms.values()):
-        for k2, c2 in gp:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
+    for c, fcols, fcoeffs, gcols, gcoeffs in columns:
+        gp = list(zip(_pack(gcols, fields), gcoeffs))
+        for k1, c1 in zip(_pack(fcols, fields), fcoeffs):
+            c1 *= c
+            for k2, c2 in gp:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    del columns, gp  # drop the operand columns before unpacking, to lower the peak
     keys = []
     coeffs = []
     for k, c in acc.items():
@@ -308,11 +337,20 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
         if c:
             keys.append(k)
             coeffs.append(c)
-    del acc, get  # drop the accumulator before unpacking, to lower the peak
+    del acc, get  # and the accumulator
     cols = [[(k >> s) & mask for k in keys] for s, mask in fields]
     del keys
-    out = dict(zip(zip(*cols), coeffs))
-    return Poly._make(f.n, p, out)
+    return Poly._make(n, p, dict(zip(zip(*cols), coeffs)))
+
+
+def _pack(cols: List[Tuple[int, ...]], fields: List[Tuple[int, int]]) -> List[int]:
+    """The packed keys of the monomials whose exponent columns are cols,
+    variable j shifted into fields[j]; the first field starts at bit 0."""
+    keys = list(cols[0])
+    for col, (shift, mask) in zip(cols[1:], fields[1:]):
+        if mask:
+            keys = [k + (a << shift) for k, a in zip(keys, col)]
+    return keys
 
 
 def frobenius(f: Poly, e: int) -> Poly:

@@ -34,10 +34,10 @@ from .fp_poly import (
     frobenius,
     poly_add,
     poly_const,
+    poly_dot,
     poly_mul,
     poly_one,
     poly_pow,
-    poly_scale,
     poly_var,
     poly_zero,
     require_prime,
@@ -55,8 +55,9 @@ class BoundExceeded(ValueError):
 
 
 # The budget of the verification case being run, or None.  The bracket
-# recursion and the main form call its before_product(f_terms, g_terms)
-# before their products (_ask_budget), which raises to stop the case.
+# recursion, the main form and the corollary rows call its
+# before_product(f_terms, g_terms) before their products (_ask_budget),
+# which raises to stop the case.
 case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
@@ -66,12 +67,24 @@ def _sign_unit(k: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _signed_permutations(n: int) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
+    """Every permutation of 0..n-1 with whether it is odd (an odd number of
+    inversions), counted once per n for the Leibniz expansion."""
+    return tuple(
+        (sigma, sum(sigma[a] > sigma[b] for a in range(n) for b in range(a + 1, n)) % 2 == 1)
+        for sigma in permutations(range(n))
+    )
+
+
+@lru_cache(maxsize=None)
 def bracket(n: int, es: ESeq, p: int) -> Poly:
     """The determinant det(xj ** p**ei) for the exponent sequence es.
 
-    Expanded over permutations; transposed entries cancel, so a repeated
-    exponent gives the zero polynomial without special casing.  Swapping
-    two entries negates the result.
+    A repeated exponent repeats a row, so the bracket is zero at once.
+    Otherwise the rows are distinct powers of p, the n! terms of the
+    Leibniz expansion (_signed_permutations) are distinct monomials, and
+    each is +-1: variable j gets exponent p**e_sigma(j) with the sign of
+    sigma.  Swapping two entries negates the result.
     """
     require_prime(p)
     es = tuple(es)
@@ -87,22 +100,12 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
         powers.append(q)
     if sum(powers) >= EXPONENT_LIMIT:
         raise OverflowError("bracket degree would exceed 2**63")
-    terms = {}
-    for sigma in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if sigma[a] > sigma[b]
-        )
-        coeff = _sign_unit(inversions, p)
-        expo = [0] * n
-        for row, col in enumerate(sigma):
-            expo[col] = powers[row]
-        m = tuple(expo)
-        v = (terms.get(m, 0) + coeff) % p
-        if v:
-            terms[m] = v
-        else:
-            terms.pop(m, None)
-    return Poly._make(n, p, terms)
+    if len(set(es)) < n:
+        return poly_zero(n, p)
+    return Poly._make(n, p, {
+        tuple([powers[row] for row in sigma]): p - 1 if odd else 1
+        for sigma, odd in _signed_permutations(n)
+    })
 
 
 def L(n: int, s: int, p: int) -> Poly:
@@ -151,10 +154,8 @@ def _dickson_row(n: int, p: int) -> Tuple[Poly, ...]:
     q = [poly_one(n, p)]  # Q_{k,0}, .., Q_{k,k} at level k, from k = 0
     for k in range(1, n + 1):
         x = poly_var(k, n, p)
-        v = poly_zero(n, p)
-        for t, q_t in enumerate(q):
-            term = poly_mul(q_t, frobenius(x, t))
-            v = poly_add(v, poly_scale(term, _sign_unit(k - 1 - t, p)))
+        v = poly_dot([(_sign_unit(k - 1 - t, p), q_t, frobenius(x, t))
+                      for t, q_t in enumerate(q)], n, p)
         v = poly_pow(v, p - 1)
         lower = [poly_zero(n, p)] + q  # Q_{k-1,t-1} at index t
         q = [poly_add(frobenius(lower[t], 1), poly_mul(v, q[t])) for t in range(k)]
@@ -203,15 +204,14 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     side (recursion_rhs, base(t) = Q_{n,t}) and its quotients by L_n
     (_quotient, base(t) = Q_{n,t} in x or y_t in Dickson coordinates).
     base(t) is built only for a nonzero lows[t]; the case budget, if set,
-    is asked about every product before any is formed.
+    is asked about every product before any is formed.  The products add
+    in one poly_dot, so none is built in full: on the bracket side the sum
+    cancels down to an n!-term bracket.
     """
     factors = [(t, low, base(t)) for t, low in enumerate(lows) if low.terms]
     _ask_budget(*((low, b) for _, low, b in factors))
-    total = poly_zero(n, p)
-    for t, low, b in factors:
-        term = poly_mul(low, frobenius(b, e))
-        total = poly_add(total, poly_scale(term, _sign_unit(n + t - 1, p)))
-    return total
+    return poly_dot([(_sign_unit(n + t - 1, p), low, frobenius(b, e))
+                     for t, low, b in factors], n, p)
 
 
 def _quotient(n: int, left: int, j: int, p: int, lower: Callable[[int], Poly],

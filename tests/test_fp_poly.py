@@ -17,6 +17,7 @@ from dickson.fp_poly import (
     parse_poly,
     poly_add,
     poly_const,
+    poly_dot,
     poly_mul,
     poly_one,
     poly_pow,
@@ -211,6 +212,103 @@ class TestPackedMul:
                 f = rand_poly(rng, n, p, max_terms=6, max_exp=9)
                 g = rand_poly(rng, n, p, max_terms=6, max_exp=9)
                 assert poly_mul(f, g) == schoolbook(f, g)
+
+
+def dot_reference(products, n, p):
+    """sum of poly_scale(poly_mul(f, g), c), one product at a time."""
+    total = poly_zero(n, p)
+    for c, f, g in products:
+        total = poly_add(total, poly_scale(poly_mul(f, g), c))
+    return total
+
+
+class TestDot:
+    """poly_dot sums c * f * g over triples in one packed accumulator."""
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 5), (4, 2), (2, 7)])
+    def test_random_sums_match_the_products_one_at_a_time(self, n, p):
+        rng = random.Random(70 + 10 * n + p)
+        for _ in range(40):
+            products = [(rng.randint(-p, 2 * p),
+                         rand_poly(rng, n, p, max_terms=rng.choice((0, 1, 5)), max_exp=8),
+                         rand_poly(rng, n, p, max_terms=rng.choice((1, 5)), max_exp=8))
+                        for _ in range(rng.randint(0, 4))]
+            want = dot_reference(products, n, p)
+            assert want == dot_reference(
+                [(c, schoolbook(f, g), poly_one(n, p)) for c, f, g in products], n, p)
+            assert poly_dot(products, n, p) == want
+
+    def test_zero_coefficients_and_empty_operands_drop_out(self):
+        n, p = 2, 5
+        f = parse_poly("x1^2 + 3*x2", n, p)
+        g = parse_poly("2*x1*x2 + 1", n, p)
+        z = poly_zero(n, p)
+        assert poly_dot([(0, f, g), (5, f, g), (1, z, g), (3, f, z)], n, p).is_zero()
+        assert poly_dot([(0, f, g), (2, f, g), (1, z, g)], n, p) == \
+            poly_scale(schoolbook(f, g), 2)
+
+    def test_single_term_operands(self):
+        n, p = 3, 7
+        x = parse_poly("3*x1^2*x3", n, p)
+        y = parse_poly("5*x2^4", n, p)
+        f = parse_poly("x1 + 6*x2^2*x3 + 2", n, p)
+        # one product with a single-term operand shifts the other one
+        assert poly_dot([(4, x, f)], n, p) == poly_scale(schoolbook(x, f), 4)
+        assert poly_dot([(4, f, x)], n, p) == poly_scale(schoolbook(x, f), 4)
+        assert poly_dot([(6, x, y)], n, p) == poly_scale(schoolbook(x, y), 6)
+        products = [(1, x, f), (-1, y, f), (2, x, y)]
+        assert poly_dot(products, n, p) == dot_reference(products, n, p)
+
+    def test_a_sum_that_cancels_to_zero(self):
+        n, p = 2, 3
+        f = parse_poly("x1^2 + 2*x1*x2 + x2", n, p)
+        g = parse_poly("x1 + x2^3 + 1", n, p)
+        assert poly_dot([(1, f, g), (-1, g, f)], n, p).is_zero()
+        assert poly_dot([(2, f, g), (1, f, g)], n, p).is_zero()
+        # (x1 + x2)(x1 - x2) + x2 * x2 = x1^2: all but one term cancels
+        a, b = parse_poly("x1 + x2", n, p), parse_poly("x1 + 2*x2", n, p)
+        x2 = poly_var(2, n, p)
+        assert poly_dot([(1, a, b), (1, x2, x2)], n, p).terms == {(2, 0): 1}
+
+    def test_products_share_one_layout(self):
+        # a near-2**62 exponent in one product widens the x1 field that the
+        # small products use too
+        n, p = 2, 3
+        big = Poly(n, p, {(BIG - 1, 0): 1, (0, 1): 2})
+        small = parse_poly("x1 + x2^2 + 1", n, p)
+        products = [(1, big, small), (2, small, small), (1, small, big)]
+        assert poly_dot(products, n, p) == dot_reference(products, n, p)
+
+    def test_empty_and_all_zero_sums(self):
+        # the recursion hands over every nonzero low; none may be nonzero
+        assert poly_dot([], 3, 5) == poly_zero(3, 5)
+        z, one = poly_zero(3, 5), poly_one(3, 5)
+        assert poly_dot([(1, z, one), (2, one, z), (0, one, one)], 3, 5) == poly_zero(3, 5)
+        assert poly_dot(iter([]), 1, 2) == poly_zero(1, 2)
+
+    def test_mixed_rings_rejected(self):
+        f2, f3 = poly_one(2, 3), poly_one(2, 5)
+        with pytest.raises(ShapeError):
+            poly_dot([(1, f2, f3)], 2, 3)
+        with pytest.raises(ShapeError):
+            poly_dot([(1, f2, f2), (1, poly_one(1, 3), f2)], 2, 3)
+        with pytest.raises(ShapeError):
+            poly_dot([(1, f2, f2)], 2, 5)
+        with pytest.raises(ShapeError):
+            # zero operands are checked too
+            poly_dot([(1, poly_zero(3, 3), f2)], 2, 3)
+
+    def test_overflow_past_2_63(self):
+        f = Poly(1, 2, {(2 ** 62,): 1})
+        with pytest.raises(OverflowError):
+            poly_dot([(1, f, f)], 1, 2)
+        g = Poly(2, 3, {(2 ** 62, 0): 1, (0, 1): 1})
+        with pytest.raises(OverflowError):
+            poly_dot([(1, poly_one(2, 3), g), (1, g, g)], 2, 3)
+        # the column bound passes 2**63 but the degree does not
+        h = Poly(2, 3, {(BIG - 1, 0): 1, (0, BIG - 1): 1})
+        assert poly_dot([(1, h, parse_poly("x1 + x2", 2, 3))], 2, 3) == \
+            schoolbook(h, parse_poly("x1 + x2", 2, 3))
 
 
 class TestFrobeniusAndPow:

@@ -1,7 +1,7 @@
 """Bracket determinants, Dickson invariants, GL machinery, dimension counts."""
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -82,6 +82,19 @@ def joint_kernel_dimension(n, p, d):
     return len(rows) - rank_mod_p(rows, p)
 
 
+def leibniz(n, es, p):
+    """det(xj ** p**ei) expanded over all permutations, with the sign of
+    each counted from its inversions."""
+    terms = {}
+    for sigma in permutations(range(n)):
+        inversions = sum(sigma[a] > sigma[b] for a in range(n) for b in range(a + 1, n))
+        m = [0] * n
+        for row, col in enumerate(sigma):
+            m[col] = p ** es[row]
+        terms[tuple(m)] = terms.get(tuple(m), 0) + (-1) ** inversions
+    return Poly(n, p, terms)
+
+
 class TestBracket:
     def test_rank_one(self):
         assert bracket(1, (0,), 3) == poly_var(1, 1, 3)
@@ -104,6 +117,13 @@ class TestBracket:
         # a 3-cycle is even, two swaps
         assert bracket(3, (1, 2, 0), 5) == b
         assert bracket(3, (1, 0, 2), 5) == poly_scale(b, 4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_the_leibniz_expansion(self, p):
+        # every sequence of n <= 4 entries in 0..4, repeats included
+        for n in range(1, 5):
+            for es in product(range(5), repeat=n):
+                assert bracket(n, es, p) == leibniz(n, es, p), es
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -320,12 +340,13 @@ class TestCoefficientQuotients:
             for s in range(n):
                 assert poly_mul(base, P_coef(n, i, s, p)) == _P_bracket(n, i, s, p)
 
-    def test_recursion_asks_about_every_product_before_forming_any(self, monkeypatch):
+    def test_recursion_asks_about_every_product_before_forming_any(self, dot_spy):
         # R_coef(3, 7, 3) sums three products of R_coef(3, 4..6, 3) by
         # Frobenius images of Q_{3,t}; the budget refuses the third
         lows = [R_coef(3, j, 3) for j in (4, 5, 6)]
         qs = [dickson_Q(3, t, 3) for t in range(3)]
-        asked, products = [], []
+        dot_spy.pairs.clear()
+        asked = []
 
         class Refuse:
             def before_product(self, f_terms, g_terms):
@@ -333,8 +354,6 @@ class TestCoefficientQuotients:
                 if len(asked) == 3:
                     raise RuntimeError("refused")
 
-        monkeypatch.setattr(invariants, "poly_mul",
-                            lambda f, g: products.append((f, g)))
         token = invariants.case_budget.set(Refuse())
         try:
             with pytest.raises(RuntimeError):
@@ -342,7 +361,7 @@ class TestCoefficientQuotients:
         finally:
             invariants.case_budget.reset(token)
         assert asked == [(len(low.terms), len(q.terms)) for low, q in zip(lows, qs)]
-        assert products == []
+        assert dot_spy.pairs == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -370,12 +389,13 @@ class TestRecursion:
         assert lhs == rhs
         assert not lhs.is_zero()
 
-    def test_asks_about_every_product_before_forming_any(self, monkeypatch):
+    def test_asks_about_every_product_before_forming_any(self, dot_spy):
         # [0, 2, 1 + 3] at p = 3: the lows [0, 2, 1 + t] are zero at t = 1
         # (a repeated row), so two products are asked about and none formed
         lows = [bracket(3, (0, 2, 1 + t), 3) for t in range(3)]
         qs = [dickson_Q(3, t, 3) for t in range(3)]
-        asked, products = [], []
+        dot_spy.pairs.clear()
+        asked = []
 
         class Refuse:
             def before_product(self, f_terms, g_terms):
@@ -383,8 +403,6 @@ class TestRecursion:
                 if len(asked) == 2:
                     raise RuntimeError("refused")
 
-        monkeypatch.setattr(invariants, "poly_mul",
-                            lambda f, g: products.append((f, g)))
         token = invariants.case_budget.set(Refuse())
         try:
             with pytest.raises(RuntimeError):
@@ -392,7 +410,7 @@ class TestRecursion:
         finally:
             invariants.case_budget.reset(token)
         assert asked == [(len(lows[t].terms), len(qs[t].terms)) for t in (0, 2)]
-        assert products == []
+        assert dot_spy.pairs == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from dickson.fp_poly import (
     poly_zero,
     Poly,
 )
-from dickson import steenrod, verify
+from dickson import verify
 from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
     _main_form,
@@ -327,23 +327,15 @@ class TestCorollaryForms:
             for i in range(1, n + 4):
                 assert poly_mul(L(n, n, p), P_coef(n, i, s, p)) == _P_bracket(n, i, s, p)
 
-    def test_kernel_form_divides_nothing(self, monkeypatch):
+    def test_kernel_form_divides_nothing(self, dot_spy):
         # L_n P is a bracket, so the kernel form needs no quotient.  Built
         # from P_coef(4, 7, 3, 2) at (p, n, s, i) = (2, 4, 3, 7), it would
         # spend 210,480 term pairs multiplying its 8,770 terms back by the
         # 24-term L_4.
         P_coef.cache_clear()
-        pairs = []
-        mul = steenrod.poly_mul
-
-        def mul_spy(f, g):
-            pairs.append(len(f.terms) * len(g.terms))
-            return mul(f, g)
-
-        monkeypatch.setattr(steenrod, "poly_mul", mul_spy)
         corollary_rhs("kernel", 4, 3, 2, i=7)
         corollary_rhs("kernel", 3, 2, 3, i=6)
-        assert sum(pairs) < 1_000
+        assert dot_spy.pairs and sum(dot_spy.pairs) < 1_000
 
     def test_kernel_grid_at_five_three(self):
         # The odd-p, n = 3 kernel cases, i <= 6.
@@ -369,23 +361,16 @@ class TestCorollaryForms:
             assert result.passed and not result.skipped
             assert seen[0] == poly_mul(poly_pow(dickson_Q(n, 0, p), p - 1), dickson_Q(n, s, p))
 
-    def test_main_route_products_stay_narrow(self, monkeypatch):
+    def test_main_route_products_stay_narrow(self, dot_spy):
         # With R and P warm, the main route at (p, n, s, i) = (3, 3, 2, 6)
         # multiplies only by brackets: in the order written it spends 906,541
         # term pairs and builds a 36,853-term sum that cancels to 33 terms.
         R_coef(3, 6, 3)
         P_coef(3, 6, 2, 3)
-        pairs, widths = [], []
-        mul = steenrod.poly_mul
-
-        def spy(f, g):
-            h = mul(f, g)
-            pairs.append(len(f.terms) * len(g.terms))
-            widths.append(len(h.terms))
-            return h
-
-        monkeypatch.setattr(steenrod, "poly_mul", spy)
+        dot_spy.pairs.clear()
+        dot_spy.widths.clear()
         value = st_delta_via_main(3, 2, 6, 3)
+        pairs, widths = list(dot_spy.pairs), list(dot_spy.widths)
         assert value == st_delta(dickson_Q(3, 2, 3), 6)
         assert sum(pairs) < 100_000
         assert max(widths) < 20_000

@@ -149,22 +149,13 @@ class TestRunCase:
         assert r.skipped
         assert r.skip_reason == "time budget exceeded"
 
-    def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch):
+    def test_quotient_recursion_stops_before_a_wide_product(self, dot_spy):
         # R_coef(2, 15, 3) would build a 2,391,484-term quotient; under a
         # budget of 10**6 the recursion stops before any product has more
         # term pairs than that.  routes-agree builds it through
         # st_delta_via_main; main decides the case by its certificate (below)
         R_coef.cache_clear()
         P_coef.cache_clear()
-        pairs = []
-        mul = fp_poly.poly_mul
-
-        def spy(f, g):
-            pairs.append(len(f.terms) * len(g.terms))
-            return mul(f, g)
-
-        for module in (fp_poly, invariants, steenrod, verify):
-            monkeypatch.setattr(module, "poly_mul", spy)
         try:
             r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15), term_budget=10 ** 6)
         finally:
@@ -172,33 +163,31 @@ class TestRunCase:
             P_coef.cache_clear()
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
-        assert pairs and max(pairs) <= 10 ** 6
+        assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
         assert case_budget.get() is None
 
-    def test_main_form_stops_before_a_wide_product(self, monkeypatch):
+    def test_main_form_stops_before_a_wide_product(self, monkeypatch, dot_spy):
         # with the first term of the n+3 row's Rhat dropped, cor-n3 at
         # (5,3,1) runs the x route for its witness; the main form's last
         # product, L_n**(p-2) by the wide sum, would be 9,252,792 term pairs
-        real = steenrod._COROLLARY_ROWS["n+3"]
-
-        def broken(q, n, s):
-            rr, pp, sign = real(q, n, s)
-            return fp_poly.poly_sub(rr, q(n - 3, 2)), pp, sign
-
-        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3", broken)
-        pairs = []
-        mul = fp_poly.poly_mul
-
-        def spy(f, g):
-            pairs.append(len(f.terms) * len(g.terms))
-            return mul(f, g)
-
-        for module in (fp_poly, invariants, steenrod, verify):
-            monkeypatch.setattr(module, "poly_mul", spy)
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
+                            drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
         r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=10 ** 6)
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 54 by 171348 terms exceeds the budget 1000000"
-        assert pairs and max(pairs) <= 10 ** 6
+        assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
+        assert case_budget.get() is None
+
+    def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, dot_spy):
+        # the same broken row read in x for the witness: its own products
+        # reach 599,634 term pairs before the main form is reached, and each
+        # asks the budget first
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
+                            drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
+        r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=500_000)
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "a product of 120 by 4759 terms exceeds the budget 500000"
+        assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
         assert case_budget.get() is None
 
     def test_main_passes_where_the_x_route_runs_over_budget(self):
@@ -388,11 +377,19 @@ def clear_caches():
         cached.cache_clear()
 
 
+def drop_first_term_of_rhat(row):
+    # the n+3 row without the Q_{n,n-3}**(p**2) term of its Rhat
+    def dropped(q, mul, n, s):
+        rr, pp, sign = row(q, mul, n, s)
+        return fp_poly.poly_sub(rr, q(n - 3, 2)), pp, sign
+    return dropped
+
+
 def drop_last_term_of_R(row):
     # the n+2 row without the Q_{n,n-2}**p term of its R
-    def dropped(q, n, s):
-        _, pp, sign = row(q, n, s)
-        return fp_poly.poly_mul(q(n - 1), q(n - 1, 1)), pp, sign
+    def dropped(q, mul, n, s):
+        _, pp, sign = row(q, mul, n, s)
+        return mul(q(n - 1), q(n - 1, 1)), pp, sign
     return dropped
 
 
