@@ -1,17 +1,17 @@
 """Tour of the exact polynomial layer: arithmetic, text form, Frobenius,
-linear substitution.
+and the generators of GL(2, F_3) acting term by term.
 
 Run as a script; every claim is printed alongside the computation.
 """
 from dickson import (
-    Matrix,
     format_poly,
     frobenius,
+    generator_actions,
+    gl_generators,
     parse_poly,
     poly_mul,
     poly_pow,
     poly_var,
-    substitute_linear,
 )
 
 p = 3
@@ -41,7 +41,9 @@ print("h^3        =", format_poly(poly_pow(h, 3)))
 print("frobenius  =", format_poly(frobenius(h, 1)), "   <- same thing, no multiplication")
 
 print()
-print("== linear substitution, columns carry variable images ==")
-t = Matrix(p, [[1, 0], [1, 1]])  # x1 -> x1 + x2, x2 fixed
-print("x1 under the transvection ->", format_poly(substitute_linear(x1, t)))
-print("h  under the transvection ->", format_poly(substitute_linear(h, t)))
+print("== the generators of GL(2, F_3) act term by term ==")
+print("columns of the matrix are the images of x1 and x2; no product is formed")
+for mat, act in zip(gl_generators(2, p), generator_actions(2, p)):
+    columns = [list(col) for col in zip(*mat.entries)]
+    print(f"columns {columns}:  x1 -> {format_poly(act(x1))},  x2 -> {format_poly(act(x2))},"
+          f"  h -> {format_poly(act(h))}")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -104,15 +106,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
-    # Open the output before the run, so a bad path costs no work.
+    # Create a temporary file beside --out before the run, so a bad path
+    # costs no work, and move it onto --out only once the report is in it:
+    # a crash or an interrupt leaves the previous report as it was.
+    tmp = f"{args.out}.{os.getpid()}.tmp" if args.out else None
     try:
-        out = (open(args.out, "w", encoding="utf-8") if args.out
-               else contextlib.nullcontext(sys.stdout))
+        if tmp and os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        out = open(tmp, "x", encoding="utf-8") if tmp else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
-    with out as handle:
-        report = run_grid(config)
-        handle.write(emit_report(report, args.format))
+    try:
+        with out as handle:
+            report = run_grid(config)
+            handle.write(emit_report(report, args.format))
+        if tmp:
+            os.replace(tmp, args.out)
+    except BaseException:
+        if tmp:
+            os.unlink(tmp)
+        raise
     return 0 if report.summary["failed"] == 0 and report.sign_flag else 1
 
 

@@ -226,30 +226,25 @@ def _same_ring(f: Poly, g: Poly) -> None:
         )
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    _same_ring(f, g)
-    p = f.p
-    out = dict(f.terms)
-    for m, c in g.terms.items():
-        v = (out.get(m, 0) + c) % p
+def _add_into(out: Terms, terms: Iterable[Tuple[Monomial, int]], c: int, p: int) -> Terms:
+    """out += c * terms, in place and mod p; returns out."""
+    for m, v in terms:
+        v = (out.get(m, 0) + c * v) % p
         if v:
             out[m] = v
         else:
             out.pop(m, None)
-    return Poly._make(f.n, p, out)
+    return out
+
+
+def poly_add(f: Poly, g: Poly) -> Poly:
+    _same_ring(f, g)
+    return Poly._make(f.n, f.p, _add_into(dict(f.terms), g.terms.items(), 1, f.p))
 
 
 def poly_sub(f: Poly, g: Poly) -> Poly:
     _same_ring(f, g)
-    p = f.p
-    out = dict(f.terms)
-    for m, c in g.terms.items():
-        v = (out.get(m, 0) - c) % p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return Poly._make(f.n, p, out)
+    return Poly._make(f.n, f.p, _add_into(dict(f.terms), g.terms.items(), -1, f.p))
 
 
 def poly_scale(f: Poly, c: int) -> Poly:
@@ -463,40 +458,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.p}, {self.entries})"
-
-
-def substitute_linear(f: Poly, mat: Matrix) -> Poly:
-    """Apply the linear substitution xj -> sum_k mat[k][j] * xk.
-
-    Columns of mat give the images of the variables (column convention).
-    The degree of every term is preserved when mat is invertible; singular
-    matrices are allowed and may collapse terms.
-    """
-    if mat.p != f.p or mat.n != f.n:
-        raise ShapeError(
-            f"matrix over p={mat.p} size {mat.n} cannot act on Poly(n={f.n}, p={f.p})"
-        )
-    n, p = f.n, f.p
-    columns = list(zip(*mat.entries))
-    total = Poly._make(n, p, {})
-    for m, c in f.terms.items():
-        prod = poly_const(c, n, p)
-        for j, a in enumerate(m):
-            if a:
-                prod = poly_mul(prod, _linear_power(p, columns[j], a))
-        total = poly_add(total, prod)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _linear_power(p: int, column: Tuple[int, ...], a: int) -> Poly:
-    """(sum_k column[k] * xk) ** a over F_p; shared by every substitution
-    whose matrix has this column."""
-    n = len(column)
-    image = {
-        tuple(1 if t == k else 0 for t in range(n)): c for k, c in enumerate(column) if c
-    }
-    return poly_pow(Poly._make(n, p, image), a)
 
 
 def degree(f: Poly) -> int:

@@ -14,19 +14,20 @@ by that recursion divided by L_n in one body (_quotient) for both
 coordinate systems, so that nothing is divided: in x, through Q_{n,t},
 they are P_coef and R_coef, which appear in closed forms for the primitive
 Steenrod operations; in Dickson coordinates, through y_t = Q_{n,t}, they
-are y_quotient; and exact GL(n, F_p) machinery (generators, enumeration,
-invariance tests, invariant dimension counts by degree).
+are y_quotient; and exact GL(n, F_p) machinery (generators and their
+actions, enumeration, invariance tests, dimension counts by degree).
 """
 from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import lru_cache
-from itertools import permutations, product
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from functools import lru_cache, partial
+from itertools import accumulate, permutations, product
+from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
+    _add_into,
     Matrix,
     Monomial,
     Poly,
@@ -41,10 +42,11 @@ from .fp_poly import (
     poly_var,
     poly_zero,
     require_prime,
-    substitute_linear,
 )
 
 ESeq = Tuple[int, ...]
+# The terms (monomial, coefficient) of the image of a monomial, of (m, p).
+_TermMap = Callable[[Monomial, int], Iterable[Tuple[Monomial, int]]]
 
 GL_ENUM_BOUND = 10 ** 6
 DIMENSION_BOUND = 5000
@@ -335,6 +337,7 @@ def enumerate_gl(n: int, p: int, bound: int = GL_ENUM_BOUND) -> List[Matrix]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _least_primitive_root(p: int) -> int:
     if p == 2:
         return 1
@@ -355,6 +358,62 @@ def _least_primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _lucas_row(b: int, p: int) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero (k, C(b, k) mod p) for k in 1..b, by Lucas' theorem."""
+    return tuple((k, c) for k in range(1, b + 1) if (c := binom_mod_p(b, k, p)))
+
+
+def _transvection_image(m: Monomial, p: int) -> Iterator[Tuple[Monomial, int]]:
+    """The terms of (T - I) m, T = I + E_12 sending x2 to x1 + x2:
+    x1**a x2**b r -> sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r."""
+    a, b, rest = m[0], m[1], m[2:]
+    for k, c in _lucas_row(b, p):
+        yield (a + k, b - k) + rest, c
+
+
+def _rotate(m: Monomial) -> Monomial:
+    """The cycle C on a monomial: C sends xj to x(j-1) and x1 to xn, so the
+    exponent of x(j+1) moves to xj."""
+    return m[1:] + m[:1]
+
+
+def _act(f: Poly, image: _TermMap) -> Poly:
+    """The sum over the terms c m of f of c image(m, p), where image(m, p)
+    gives the terms of the image of the monomial m."""
+    out: Dict[Monomial, int] = {}
+    for m, c in f.terms.items():
+        _add_into(out, image(m, f.p), c, f.p)
+    return Poly._make(f.n, f.p, out)
+
+
+# The generators of GL(n, F_p), in the order of gl_generators: the
+# transvection T = I + E_12, the permutation matrix C of the n-cycle and
+# D = diag(g, 1, .., 1), g the least primitive root.  Each row holds
+# whether (n, p) has it, its matrix entry (a, b), and the terms of its image
+# of a monomial (for _act).  A matrix M sends xj to the sum over a of
+# M[a][j] xa, so T sends x2 to x1 + x2, C sends xj to x(j-1) (x1 to xn),
+# and D scales x1**a by g**a.
+_GENERATORS = (
+    (lambda n, p: n >= 2,
+     lambda a, b, n, p: int(a == b or (a, b) == (0, 1)),
+     lambda m, p: ((m, 1), *_transvection_image(m, p))),
+    (lambda n, p: n >= 2,
+     lambda a, b, n, p: int(b == (a + 1) % n),
+     lambda m, p: ((_rotate(m), 1),)),
+    (lambda n, p: p > 2,
+     lambda a, b, n, p: int(a == b) * (_least_primitive_root(p) if a == 0 else 1),
+     lambda m, p: ((m, pow(_least_primitive_root(p), m[0], p)),)),
+)
+
+
+def _generators(n: int, p: int) -> List[Tuple[Callable[..., int], _TermMap]]:
+    require_prime(p)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return [(entry, image) for present, entry, image in _GENERATORS if present(n, p)]
+
+
+@lru_cache(maxsize=None)
 def gl_generators(n: int, p: int) -> Tuple[Matrix, ...]:
     """A generating set of at most three matrices for GL(n, F_p).
 
@@ -370,25 +429,19 @@ def gl_generators(n: int, p: int) -> Tuple[Matrix, ...]:
     transvections generate SL(n, F_p), and the diagonal matrix then
     reaches every determinant (at p = 2 the determinant is always 1).
     """
-    require_prime(p)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    gens = []
-    if n >= 2:
-        transvection = [[int(a == b) for b in range(n)] for a in range(n)]
-        transvection[0][1] = 1
-        cycle = [[int(b == (a + 1) % n) for b in range(n)] for a in range(n)]
-        gens += [Matrix(p, transvection), Matrix(p, cycle)]
-    if p > 2:
-        diagonal = [[int(a == b) for b in range(n)] for a in range(n)]
-        diagonal[0][0] = _least_primitive_root(p)
-        gens.append(Matrix(p, diagonal))
-    return tuple(gens)
+    return tuple(Matrix(p, [[entry(a, b, n, p) for b in range(n)] for a in range(n)])
+                 for entry, _ in _generators(n, p))
+
+
+def generator_actions(n: int, p: int) -> Tuple[Callable[[Poly], Poly], ...]:
+    """The actions of gl_generators(n, p) on F_p[x1..xn], in its order:
+    each returns the exact image of f, read off its terms in closed form."""
+    return tuple(partial(_act, image=image) for _, image in _generators(n, p))
 
 
 def is_invariant(f: Poly) -> bool:
     """Whether f is fixed by every generator of GL(n, F_p), hence by the group."""
-    return all(substitute_linear(f, m) == f for m in gl_generators(f.n, f.p))
+    return all(act(f) == f for act in generator_actions(f.n, f.p))
 
 
 def _monomials_of_degree(n: int, d: int, step: int) -> Iterator[Monomial]:
@@ -403,30 +456,12 @@ def _monomials_of_degree(n: int, d: int, step: int) -> Iterator[Monomial]:
 
 
 def _cyclic_orbits(n: int, d: int, step: int) -> Iterator[Set[Monomial]]:
-    """The orbits of the n-cycle on the monomials of _monomials_of_degree;
-    each orbit is yielded once, at its least member."""
+    """The orbits of the n-cycle (_rotate) on the monomials of
+    _monomials_of_degree; each orbit is yielded once, at its least member."""
     for m in _monomials_of_degree(n, d, step):
-        orbit = {m[r:] + m[:r] for r in range(n)}
+        orbit = set(accumulate(range(1, n), lambda r, _: _rotate(r), initial=m))
         if m == min(orbit):
             yield orbit
-
-
-def _transvection_image(m: Monomial, p: int,
-                        lucas: Dict[int, List[Tuple[int, int]]]) -> Iterator[Tuple[Monomial, int]]:
-    """The terms of (T - I) m for T = I + E_12, which sends x2 to x1 + x2:
-
-        x1**a x2**b r  ->  sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r.
-
-    lucas maps b to its nonzero (k, C(b, k) mod p), k >= 1; rows missing
-    from it are filled in, so one dict can serve many calls.
-    """
-    a, b = m[0], m[1]
-    row = lucas.get(b)
-    if row is None:
-        row = lucas[b] = [(k, c) for k in range(1, b + 1) if (c := binom_mod_p(b, k, p))]
-    rest = m[2:]
-    for k, c in row:
-        yield (a + k, b - k) + rest, c
 
 
 def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
@@ -443,39 +478,32 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
     2002).  At p = 2, D is the identity and every monomial counts.
 
     The GL-invariants are the kernel of T - I on that basis, T the one
-    generator that is not monomial.  Each orbit sum gives one
-    sparse row, its image under T - I read off Lucas binomials
-    (x1**a x2**b r -> sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r);
-    the rows are reduced mod p against pivot rows stored under their least
-    monomial, and the dimension is the number of orbits minus the rank.
-    At n = 1 there is no T, and every orbit sum is invariant.
+    generator that is not monomial.  Each sum over an orbit of C (_rotate)
+    gives one sparse row, its image under T - I read off Lucas binomials
+    (_transvection_image); the rows are reduced mod p against pivot rows
+    stored under their least monomial, and the dimension is the number of
+    orbits minus the rank.  At n = 1 there is no T, and every orbit sum is
+    invariant.
 
-    bound caps the full degree-d monomial basis, C(d + n - 1, n - 1)
-    elements, not the smaller orbit basis: BoundExceeded when it is larger.
+    bound caps the monomials enumerated, C(d/(p-1) + n - 1, n - 1) of
+    degree d with every exponent a multiple of p - 1 (none unless p - 1
+    divides d): BoundExceeded when there are more.
     """
     require_prime(p)
     if n < 1 or d < 0:
         raise ValueError(f"bad (n, d) = ({n}, {d})")
-    basis_size = math.comb(d + n - 1, n - 1)
+    basis_size = math.comb(d // (p - 1) + n - 1, n - 1) if d % (p - 1) == 0 else 0
     if basis_size > bound:
         raise BoundExceeded(
             f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
         )
     orbits = 0
     pivots: Dict[Monomial, Dict[Monomial, int]] = {}
-    lucas: Dict[int, List[Tuple[int, int]]] = {}
     for orbit in _cyclic_orbits(n, d, p - 1):
         orbits += 1
         if n < 2:
             continue
-        row: Dict[Monomial, int] = {}
-        for m in orbit:
-            for mm, c in _transvection_image(m, p, lucas):
-                v = (row.get(mm, 0) + c) % p
-                if v:
-                    row[mm] = v
-                else:
-                    del row[mm]
+        row = _act(Poly._make(n, p, dict.fromkeys(orbit, 1)), _transvection_image).terms
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -483,13 +511,7 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
                 inv = pow(row[lead], p - 2, p)
                 pivots[lead] = {key: c * inv % p for key, c in row.items()}
                 break
-            factor = row[lead]
-            for key, c in pivot.items():
-                v = (row.get(key, 0) - factor * c) % p
-                if v:
-                    row[key] = v
-                else:
-                    del row[key]
+            _add_into(row, pivot.items(), -row[lead], p)
     return orbits - len(pivots)
 
 

@@ -58,7 +58,6 @@ from .fp_poly import (
     poly_var,
     poly_zero,
     require_prime,
-    substitute_linear,
 )
 from .invariants import (
     BoundExceeded,
@@ -69,8 +68,8 @@ from .invariants import (
     case_budget,
     dickson_Q,
     dickson_monomial_count,
+    generator_actions,
     invariant_space_dimension,
-    gl_generators,
     recursion_rhs,
     y_quotient,
 )
@@ -395,7 +394,9 @@ def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
 
 def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
     """Q_{n,s}, built by Dickson's recursion, is the quotient that defines
-    it, Q_{n,s} L_n = L(n, s), and is fixed by every generator of GL(n, F_p)."""
+    it, Q_{n,s} L_n = L(n, s), and is fixed by every generator of GL(n, F_p),
+    each image read off the terms (invariants.generator_actions).  The
+    first generator whose image differs gives the witness."""
     n, s, p = spec.n, spec.s, spec.p
     f = dickson_Q(n, s, p)
     budget.guard(f)
@@ -404,9 +405,9 @@ def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
     product = poly_mul(f, base)
     if product != L(n, s, p):
         return _compare(product, L(n, s, p))
-    for mat in gl_generators(n, p):
+    for act in generator_actions(n, p):
         budget.checkpoint()
-        image = substitute_linear(f, mat)
+        image = act(f)
         if image != f:
             return _compare(image, f)
     return True, False, None

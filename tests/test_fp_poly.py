@@ -26,9 +26,10 @@ from dickson.fp_poly import (
     poly_var,
     poly_zero,
     require_prime,
-    substitute_linear,
     topological_degree,
 )
+
+from substitution import substitute_linear
 
 
 def rand_poly(rng, n, p, max_terms=4, max_exp=6):

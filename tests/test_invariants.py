@@ -10,6 +10,7 @@ from dickson.fp_poly import (
     Matrix,
     Poly,
     frobenius,
+    grevlex_key,
     parse_poly,
     poly_add,
     poly_mul,
@@ -19,7 +20,6 @@ from dickson.fp_poly import (
     poly_sub,
     poly_var,
     poly_zero,
-    substitute_linear,
 )
 from dickson.invariants import (
     BoundExceeded,
@@ -32,6 +32,7 @@ from dickson.invariants import (
     dickson_Q,
     dickson_monomial_count,
     enumerate_gl,
+    generator_actions,
     gl_generators,
     gl_order,
     invariant_space_dimension,
@@ -40,6 +41,8 @@ from dickson.invariants import (
     y_quotient,
 )
 from dickson.steenrod import _COROLLARY_ROWS, _read_row, corollary_rhs, st_delta
+
+from substitution import substitute_linear
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
 
@@ -520,6 +523,59 @@ class TestInvariance:
             assert substitute_linear(f, m) == f
 
 
+# Every Q_{n,s} of these (p, n) meets the actions in the tests below.
+ACTION_PAIRS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
+                (5, 3), (7, 3), (2, 4), (3, 4), (2, 5)]
+
+
+class TestGeneratorActions:
+    """The closed-form actions against substitution by the matrices of
+    gl_generators, generator by generator."""
+
+    @staticmethod
+    def assert_substitutions(f):
+        actions = generator_actions(f.n, f.p)
+        matrices = gl_generators(f.n, f.p)
+        assert len(actions) == len(matrices)
+        for act, mat in zip(actions, matrices):
+            assert act(f) == substitute_linear(f, mat), mat
+
+    @pytest.mark.parametrize("p,n", ACTION_PAIRS)
+    def test_on_every_Q(self, p, n):
+        for s in range(n):
+            self.assert_substitutions(dickson_Q(n, s, p))
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2),
+                                     (2, 3), (3, 3), (5, 3), (2, 4), (3, 4)])
+    def test_on_random_polynomials(self, p, n):
+        rng = random.Random(100 * p + n)
+        for _ in range(25):
+            f = Poly(n, p, {tuple(rng.randrange(12) for _ in range(n)): rng.randrange(1, p)
+                            for _ in range(rng.randint(0, 8))})
+            self.assert_substitutions(f)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 3), (2, 4)])
+    def test_on_a_Q_with_one_coefficient_changed(self, p, n):
+        for s in range(n):
+            q = dickson_Q(n, s, p)
+            m = max(q.terms, key=grevlex_key)
+            changed = Poly(n, p, {**q.terms, m: q.terms[m] + 1})
+            self.assert_substitutions(changed)
+            assert not is_invariant(changed)
+
+    def test_the_cycle_is_not_its_inverse(self):
+        # C sends xj to x(j-1): x1 x2^2 goes to x3 x1^2, not to x2 x3^2
+        f = parse_poly("x1*x2^2", 3, 3)
+        assert generator_actions(3, 3)[1](f) == parse_poly("x1^2*x3", 3, 3)
+
+    def test_validation(self):
+        assert generator_actions(1, 2) == ()
+        with pytest.raises(ValueError):
+            generator_actions(0, 3)
+        with pytest.raises(ValueError):
+            generator_actions(2, 4)
+
+
 class TestDimensions:
     def test_frozen_small_values(self):
         # generators in rank 2 at p = 2 sit in degrees 2 and 3
@@ -557,12 +613,22 @@ class TestDimensions:
     def test_transvection_image(self, p, n):
         # the Lucas closed form against substitution by I + E_12
         t = Matrix(p, [[int(a == b or (a, b) == (0, 1)) for b in range(n)] for a in range(n)])
-        lucas = {}
         for d in range(8):
             for m in monomials(n, d):
                 mono = Poly(n, p, {m: 1})
-                image = Poly(n, p, dict(_transvection_image(m, p, lucas)))
+                image = Poly(n, p, dict(_transvection_image(m, p)))
                 assert image == substitute_linear(mono, t) - mono, m
+
+    def test_bound_counts_the_enumerated_monomials(self):
+        # the bound caps the monomials with every exponent a multiple of
+        # p - 1, C(27 + 3, 3) = 4060 at (3, 4), d = 54, the first degree
+        # with an invariant there; the full basis would be C(57, 3) = 29260
+        assert invariant_space_dimension(4, 3, 54) == dickson_monomial_count(4, 3, 54) == 1
+        for d in range(100, 125):
+            assert invariant_space_dimension(3, 5, d) == dickson_monomial_count(3, 5, d), d
+        with pytest.raises(BoundExceeded):
+            invariant_space_dimension(4, 3, 54, bound=4059)
+        assert invariant_space_dimension(4, 3, 55, bound=0) == 0
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):

@@ -4,9 +4,9 @@ from collections import Counter
 
 import pytest
 
-from dickson import fp_poly, invariants, steenrod, verify
+from dickson import cli, fp_poly, invariants, steenrod, verify
 from dickson.cli import main
-from dickson.fp_poly import parse_poly, poly_scale
+from dickson.fp_poly import Poly, grevlex_key, parse_poly, poly_mul, poly_scale
 from dickson.invariants import P_coef, R_coef, case_budget, recursion_rhs
 from dickson.verify import (
     CaseSpec,
@@ -18,6 +18,8 @@ from dickson.verify import (
     run_case,
     run_grid,
 )
+
+from substitution import substitute_linear
 
 
 def small_config(**kw):
@@ -194,6 +196,36 @@ class TestRunCase:
         # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
         r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
         assert r.passed and not r.skipped and r.witness is None
+
+    @pytest.mark.parametrize("p,n,s", [(2, 3, 1), (3, 3, 1), (5, 3, 2), (3, 2, 0), (2, 4, 2)])
+    def test_invariance_fails_a_changed_Q_with_the_substitution_witness(
+            self, monkeypatch, p, n, s):
+        # One coefficient of Q_{n,s} changed, and L(n, s) with it, so that
+        # the product check holds and the generators decide.  The witness is
+        # the one the general substitution gives: the grevlex-largest
+        # monomial where the image under the first moving generator differs.
+        q = invariants.dickson_Q(n, s, p)
+        m = max(q.terms, key=grevlex_key)
+        changed = Poly(n, p, {**q.terms, m: q.terms[m] + 1})
+        real_Q, real_L = verify.dickson_Q, verify.L
+        monkeypatch.setattr(verify, "dickson_Q",
+                            lambda *a: changed if a == (n, s, p) else real_Q(*a))
+        monkeypatch.setattr(verify, "L", lambda n_, s_, p_: (
+            poly_mul(changed, real_L(n, n, p)) if (n_, s_, p_) == (n, s, p)
+            else real_L(n_, s_, p_)))
+        images = [substitute_linear(changed, mat) for mat in invariants.gl_generators(n, p)]
+        image = next(f for f in images if f != changed)
+        diff = {k for k in set(image.terms) | set(changed.terms)
+                if image.terms.get(k, 0) != changed.terms.get(k, 0)}
+        want = fp_poly.format_poly(Poly(n, p, {max(diff, key=grevlex_key): 1}))
+        r = run_case(CaseSpec("invariance", p, n, s=s))
+        assert not r.passed and not r.skipped
+        assert r.witness == want
+
+    def test_hilbert_reaches_the_first_invariant_of_3_4(self):
+        # the bound counts the 4060 monomials with even exponents at d = 54
+        r = run_case(CaseSpec(theorem="hilbert", p=3, n=4, d=54))
+        assert r.passed and not r.skipped
 
     def test_dimension_bound_skips(self):
         # a basis too large for the dimension routine reports as skipped
@@ -653,6 +685,30 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["summary"] == {"passed": 0, "failed": 0, "skipped": 1}
         assert data["cases"][0]["skip_reason"] == "2 terms exceed the budget 1"
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_crash_keeps_the_previous_report(self, monkeypatch, tmp_path, error):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"the previous report\n")
+
+        def crash(config):
+            raise error("stopped")
+        monkeypatch.setattr(cli, "run_grid", crash)
+        with pytest.raises(error):
+            main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                  "--format", "json", "--out", str(target)])
+        assert target.read_bytes() == b"the previous report\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_out_replaces_the_previous_report(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"the previous report\n")
+        assert main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                     "--format", "json", "--out", str(target)]) == 0
+        main(["--theorem", "q0-power", "--p", "2", "--n", "2", "--format", "json"])
+        assert strip_timing(json.loads(target.read_text())) == \
+            strip_timing(json.loads(capsys.readouterr().out))
+        assert list(tmp_path.iterdir()) == [target]
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, where):
