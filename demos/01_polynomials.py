@@ -7,7 +7,6 @@ from dickson import (
     format_poly,
     frobenius,
     generator_actions,
-    gl_generators,
     parse_poly,
     poly_mul,
     poly_pow,
@@ -42,8 +41,8 @@ print("frobenius  =", format_poly(frobenius(h, 1)), "   <- same thing, no multip
 
 print()
 print("== the generators of GL(2, F_3) act term by term ==")
-print("columns of the matrix are the images of x1 and x2; no product is formed")
-for mat, act in zip(gl_generators(2, p), generator_actions(2, p)):
-    columns = [list(col) for col in zip(*mat.entries)]
-    print(f"columns {columns}:  x1 -> {format_poly(act(x1))},  x2 -> {format_poly(act(x2))},"
+print("each is given by its action; its images of x1 and x2 are the columns of its matrix,")
+print("and h is read off its terms, with no product formed")
+for act in generator_actions(2, p):
+    print(f"x1 -> {format_poly(act(x1))},  x2 -> {format_poly(act(x2))},"
           f"  h -> {format_poly(act(h))}")

@@ -7,17 +7,15 @@ generate the full ring of GL(n, F_p) invariants.
 """
 from dickson import (
     L,
-    Matrix,
     bracket,
     dickson_Q,
     dickson_monomial_count,
-    enumerate_gl,
     format_poly,
-    gl_generators,
-    gl_order,
+    generator_actions,
     invariant_space_dimension,
     is_invariant,
     poly_pow,
+    poly_var,
 )
 
 p, n = 3, 2
@@ -36,14 +34,25 @@ print("Q_{2,0} equals L_2^(p-1):",
       dickson_Q(n, 0, p) == poly_pow(L(n, n, p), p - 1))
 
 print()
-print(f"== invariance under all of GL({n}, F_{p}), order {gl_order(n, p)} ==")
-gens = gl_generators(n, p)
-reached, frontier = {Matrix.identity(n, p)}, [Matrix.identity(n, p)]
+order = (p ** n - 1) * (p ** n - p)
+print(f"== invariance under all of GL({n}, F_{p}), order {order} ==")
+acts = generator_actions(n, p)
+x = (poly_var(1, n, p), poly_var(2, n, p))
+for act in acts:
+    print(f"generator: x1 -> {format_poly(act(x[0]))}, x2 -> {format_poly(act(x[1]))}")
+# A group element is given by its images of x1, x2.  Applying every generator
+# to the images reached so far, until nothing new appears, reaches the group.
+reached, frontier = {tuple(map(format_poly, x))}, [x]
 while frontier:
-    frontier = list({m @ g for m in frontier for g in gens} - reached)
-    reached.update(frontier)
-print(f"products of the {len(gens)} generators reach every group element:",
-      reached == set(enumerate_gl(n, p)))
+    images = [tuple(map(act, m)) for m in frontier for act in acts]
+    frontier = []
+    for m in images:
+        key = tuple(map(format_poly, m))
+        if key not in reached:
+            reached.add(key)
+            frontier.append(m)
+print(f"products of the {len(acts)} generators reach {len(reached)} elements,"
+      f" the whole group: {len(reached) == order}")
 q1 = dickson_Q(n, 1, p)
 print("Q_{2,1} fixed by each generator, read off its terms, so by the group:",
       is_invariant(q1))

@@ -2,18 +2,15 @@
 from ._version import __version__
 from .fp_poly import (
     EXPONENT_LIMIT,
-    Matrix,
     Monomial,
     ParseError,
     Poly,
     PRIME_LIMIT,
     ShapeError,
     binom_mod_p,
-    degree,
     format_poly,
     frobenius,
     grevlex_key,
-    is_homogeneous,
     is_prime,
     parse_poly,
     poly_add,
@@ -27,7 +24,6 @@ from .fp_poly import (
     poly_var,
     poly_zero,
     require_prime,
-    topological_degree,
 )
 from .invariants import (
     BoundExceeded,
@@ -37,10 +33,7 @@ from .invariants import (
     bracket,
     dickson_Q,
     dickson_monomial_count,
-    enumerate_gl,
     generator_actions,
-    gl_generators,
-    gl_order,
     invariant_space_dimension,
     is_invariant,
     recursion_rhs,

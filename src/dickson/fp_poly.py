@@ -25,9 +25,8 @@ Also here: binomial coefficients mod p by Lucas' theorem, shared by the
 reduced powers and the invariant-dimension oracle.
 
 Values are immutable by convention: no function here mutates an input
-Poly or Matrix, and callers must not touch .terms / .entries after
-construction.  That makes sharing (memo tables, repeated references)
-safe without defensive copying.
+Poly, and callers must not touch .terms after construction.  That makes
+sharing (memo tables, repeated references) safe without defensive copying.
 """
 from __future__ import annotations
 
@@ -385,97 +384,6 @@ def poly_pow(f: Poly, k: int) -> Poly:
             base = poly_mul(base, base)
     assert result is not None
     return frobenius(result, e) if e else result
-
-
-class Matrix:
-    """A square matrix over F_p, rows as tuples; immutable by convention."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries: Iterable[Iterable[int]]):
-        require_prime(p)
-        rows = tuple(tuple(int(v) % p for v in row) for row in entries)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ShapeError("matrix must be square and nonempty")
-        self.p = p
-        self.entries = rows
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "Matrix":
-        return cls(p, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def det(self) -> int:
-        """Determinant mod p, by Gaussian elimination."""
-        p = self.p
-        a = [list(row) for row in self.entries]
-        n = len(a)
-        d = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                d = -d
-            inv = pow(a[col][col], p - 2, p)
-            d = d * a[col][col] % p
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv % p
-                    a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
-        return d % p
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.p != other.p or self.n != other.n:
-            raise ShapeError("matrix product needs matching size and p")
-        p = self.p
-        n = self.n
-        rows = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(n)) % p
-                  for j in range(n))
-            for i in range(n)
-        )
-        return Matrix(p, rows)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.p == other.p and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.p}, {self.entries})"
-
-
-def degree(f: Poly) -> int:
-    return f.degree()
-
-
-def topological_degree(f: Poly) -> int:
-    """Degree in the grading where each xj sits in dimension 2 for odd p
-    (their p-th Bockstein images span the polynomial part) and 1 for p = 2."""
-    d = f.degree()
-    if d < 0:
-        return -1
-    return d if f.p == 2 else 2 * d
-
-
-def is_homogeneous(f: Poly) -> bool:
-    degs = {sum(m) for m in f.terms}
-    return len(degs) <= 1
 
 
 def format_poly(f: Poly) -> str:

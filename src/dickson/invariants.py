@@ -14,21 +14,21 @@ by that recursion divided by L_n in one body (_quotient) for both
 coordinate systems, so that nothing is divided: in x, through Q_{n,t},
 they are P_coef and R_coef, which appear in closed forms for the primitive
 Steenrod operations; in Dickson coordinates, through y_t = Q_{n,t}, they
-are y_quotient; and exact GL(n, F_p) machinery (generators and their
-actions, enumeration, invariance tests, dimension counts by degree).
+are y_quotient; and exact GL(n, F_p) machinery (the three generators,
+each given by its action on F_p[x1..xn], invariance tests, dimension counts
+by degree).
 """
 from __future__ import annotations
 
 import math
 from contextvars import ContextVar
 from functools import lru_cache, partial
-from itertools import accumulate, permutations, product
+from itertools import accumulate, permutations
 from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
     _add_into,
-    Matrix,
     Monomial,
     Poly,
     binom_mod_p,
@@ -48,7 +48,6 @@ ESeq = Tuple[int, ...]
 # The terms (monomial, coefficient) of the image of a monomial, of (m, p).
 _TermMap = Callable[[Monomial, int], Iterable[Tuple[Monomial, int]]]
 
-GL_ENUM_BOUND = 10 ** 6
 DIMENSION_BOUND = 5000
 
 
@@ -311,32 +310,6 @@ def y_quotient(n: int, left: int, j: int, p: int) -> Poly:
                      lambda t: poly_var(t + 1, n, p))
 
 
-def gl_order(n: int, p: int) -> int:
-    """The order of GL(n, F_p): product of (p**n - p**k) for k in 0..n-1."""
-    return math.prod(p ** n - p ** k for k in range(n))
-
-
-def enumerate_gl(n: int, p: int, bound: int = GL_ENUM_BOUND) -> List[Matrix]:
-    """All invertible n x n matrices over F_p, if the group is small enough.
-
-    Raises BoundExceeded when |GL(n, F_p)| > bound; use gl_generators for
-    larger groups.
-    """
-    require_prime(p)
-    order = gl_order(n, p)
-    if order > bound:
-        raise BoundExceeded(
-            f"|GL({n}, F_{p})| = {order} exceeds the bound {bound}"
-        )
-    out = []
-    for flat in product(range(p), repeat=n * n):
-        mat = Matrix(p, tuple(flat[r * n:(r + 1) * n] for r in range(n)))
-        if mat.is_invertible():
-            out.append(mat)
-    assert len(out) == order
-    return out
-
-
 @lru_cache(maxsize=None)
 def _least_primitive_root(p: int) -> int:
     if p == 2:
@@ -386,57 +359,40 @@ def _act(f: Poly, image: _TermMap) -> Poly:
     return Poly._make(f.n, f.p, out)
 
 
-# The generators of GL(n, F_p), in the order of gl_generators: the
-# transvection T = I + E_12, the permutation matrix C of the n-cycle and
-# D = diag(g, 1, .., 1), g the least primitive root.  Each row holds
-# whether (n, p) has it, its matrix entry (a, b), and the terms of its image
-# of a monomial (for _act).  A matrix M sends xj to the sum over a of
-# M[a][j] xa, so T sends x2 to x1 + x2, C sends xj to x(j-1) (x1 to xn),
-# and D scales x1**a by g**a.
+# The generators of GL(n, F_p), each as a row (present, image): whether
+# (n, p) has it, and the terms of its image of a monomial (for _act).  In
+# order: the transvection T = I + E_12, sending x2 to x1 + x2; the n-cycle
+# C, sending xj to x(j-1) and x1 to xn; and D = diag(g, 1, .., 1), g the
+# least primitive root, scaling x1**a by g**a.  Column j of a generator's
+# matrix is its image of xj.
 _GENERATORS = (
     (lambda n, p: n >= 2,
-     lambda a, b, n, p: int(a == b or (a, b) == (0, 1)),
      lambda m, p: ((m, 1), *_transvection_image(m, p))),
     (lambda n, p: n >= 2,
-     lambda a, b, n, p: int(b == (a + 1) % n),
      lambda m, p: ((_rotate(m), 1),)),
     (lambda n, p: p > 2,
-     lambda a, b, n, p: int(a == b) * (_least_primitive_root(p) if a == 0 else 1),
      lambda m, p: ((m, pow(_least_primitive_root(p), m[0], p)),)),
 )
 
 
-def _generators(n: int, p: int) -> List[Tuple[Callable[..., int], _TermMap]]:
-    require_prime(p)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return [(entry, image) for present, entry, image in _GENERATORS if present(n, p)]
+def generator_actions(n: int, p: int) -> Tuple[Callable[[Poly], Poly], ...]:
+    """The actions on F_p[x1..xn] of a generating set of at most three
+    elements of GL(n, F_p), in the order of _GENERATORS: T and C for
+    n >= 2, and D for p > 2.  Each returns the exact image of f, read off
+    its terms in closed form.  At n = 1 only D remains, so (n, p) = (1, 2)
+    gives the empty set.
 
-
-@lru_cache(maxsize=None)
-def gl_generators(n: int, p: int) -> Tuple[Matrix, ...]:
-    """A generating set of at most three matrices for GL(n, F_p).
-
-    For n >= 2: the transvection I + E_12 and the permutation matrix C of
-    the n-cycle (1 2 .. n).  For p > 2 also diag(g, 1, .., 1), g the
-    least primitive root.  At n = 1 only the diagonal matrix remains, so
-    (n, p) = (1, 2) gives the empty set.
-
-    Why they generate: conjugating I + E_12 by powers of C gives
+    Why they generate: conjugating T = I + E_12 by powers of C gives
     I + E_23, .., I + E_n1.  The commutator of I + E_ij and I + E_jk is
     I + E_ik, so chains of these reach every I + E_ik (i != k), and its
     c-th power is the elementary transvection I + c E_ik.  Elementary
-    transvections generate SL(n, F_p), and the diagonal matrix then
-    reaches every determinant (at p = 2 the determinant is always 1).
+    transvections generate SL(n, F_p), and D then reaches every
+    determinant (at p = 2 the determinant is always 1).
     """
-    return tuple(Matrix(p, [[entry(a, b, n, p) for b in range(n)] for a in range(n)])
-                 for entry, _ in _generators(n, p))
-
-
-def generator_actions(n: int, p: int) -> Tuple[Callable[[Poly], Poly], ...]:
-    """The actions of gl_generators(n, p) on F_p[x1..xn], in its order:
-    each returns the exact image of f, read off its terms in closed form."""
-    return tuple(partial(_act, image=image) for _, image in _generators(n, p))
+    require_prime(p)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return tuple(partial(_act, image=image) for present, image in _GENERATORS if present(n, p))
 
 
 def is_invariant(f: Poly) -> bool:
@@ -469,7 +425,7 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
 
     GL(n, F_p) is generated by the n-cycle C, D = diag(g, 1, .., 1) for a
     primitive root g mod p, and, for n >= 2, the transvection T = I + E_12
-    (see gl_generators).  Exact linear algebra on a basis of the invariants
+    (see generator_actions).  Exact linear algebra on a basis of the invariants
     of <C, D>: the conjugates of D by powers of C generate the diagonal
     torus, which scales each monomial by a character; so the invariants of
     <C, D> are spanned by the C-orbit sums of the monomials whose exponents

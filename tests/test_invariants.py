@@ -1,4 +1,5 @@
 """Bracket determinants, Dickson invariants, GL machinery, dimension counts."""
+import math
 import random
 from functools import lru_cache
 from itertools import permutations, product
@@ -7,8 +8,8 @@ import pytest
 
 from dickson import invariants
 from dickson.fp_poly import (
-    Matrix,
     Poly,
+    format_poly,
     frobenius,
     grevlex_key,
     parse_poly,
@@ -31,10 +32,7 @@ from dickson.invariants import (
     bracket,
     dickson_Q,
     dickson_monomial_count,
-    enumerate_gl,
     generator_actions,
-    gl_generators,
-    gl_order,
     invariant_space_dimension,
     is_invariant,
     recursion_rhs,
@@ -42,7 +40,7 @@ from dickson.invariants import (
 )
 from dickson.steenrod import _COROLLARY_ROWS, _read_row, corollary_rhs, st_delta
 
-from substitution import substitute_linear
+from substitution import closure, generator_matrices, identity, mat_mul, substitute_linear
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]
 
@@ -73,12 +71,12 @@ def rank_mod_p(rows, p):
 
 def joint_kernel_dimension(n, p, d):
     """Reference for invariant_space_dimension on the full degree-d basis:
-    the kernel of m -> (M(m) - m for every M in gl_generators)."""
+    the kernel of m -> (M(m) - m for every M in generator_matrices)."""
     rows = []
     for m in monomials(n, d):
         mono = Poly(n, p, {m: 1})
         row = {}
-        for k, mat in enumerate(gl_generators(n, p)):
+        for k, mat in enumerate(generator_matrices(n, p)):
             image = substitute_linear(mono, mat) - mono
             row.update(((k, mm), c) for mm, c in image.terms.items())
         rows.append(row)
@@ -424,72 +422,54 @@ class TestRecursion:
 
 class TestGLGroup:
     def test_orders(self):
-        assert gl_order(1, 2) == 1
-        assert gl_order(1, 3) == 2
-        assert gl_order(2, 2) == 6
-        assert gl_order(2, 3) == 48
-        assert gl_order(3, 2) == 168
-        assert gl_order(2, 5) == 480
-
-    def test_enumeration(self):
-        full = enumerate_gl(2, 2)
-        assert len(full) == 6
-        assert all(m.is_invertible() for m in full)
-        assert Matrix.identity(2, 2) in full
-        assert len(enumerate_gl(2, 3)) == 48
-
-    def test_enumeration_bound(self):
-        with pytest.raises(BoundExceeded):
-            enumerate_gl(3, 5)
-        with pytest.raises(BoundExceeded):
-            enumerate_gl(2, 2, bound=5)
+        # the orders of GL(n, F_p), reached by the closure of the generators
+        assert len(closure(1, 2)) == 1
+        assert len(closure(1, 3)) == 2
+        assert len(closure(2, 2)) == 6
+        assert len(closure(2, 3)) == 48
+        assert len(closure(3, 2)) == 168
+        assert len(closure(2, 5)) == 480
 
     def test_generator_counts(self):
-        assert len(gl_generators(1, 2)) == 0
-        assert len(gl_generators(1, 3)) == 1
-        assert len(gl_generators(2, 2)) == 2
-        assert len(gl_generators(2, 3)) == 3
-        assert len(gl_generators(3, 2)) == 2
-        assert len(gl_generators(3, 3)) == 3
-        assert len(gl_generators(4, 2)) == 2
+        assert len(generator_actions(1, 2)) == 0
+        assert len(generator_actions(1, 3)) == 1
+        assert len(generator_actions(2, 2)) == 2
+        assert len(generator_actions(2, 3)) == 3
+        assert len(generator_actions(3, 2)) == 2
+        assert len(generator_actions(3, 3)) == 3
+        assert len(generator_actions(4, 2)) == 2
 
     def test_generators_pinned(self):
-        # the dimension oracle hard-codes these cases: the n-cycle, the
-        # diagonal diag(g, 1, .., 1) (the identity at p = 2, so left out),
-        # and I + E_12 exactly when n >= 2
-        def mats(p, *rows):
-            return tuple(Matrix(p, m) for m in rows)
+        # the dimension oracle hard-codes these cases: I + E_12 exactly when
+        # n >= 2, the n-cycle, and the diagonal diag(g, 1, .., 1) (the
+        # identity at p = 2, so left out); each row is one generator's
+        # images of x1..xn, the columns of its matrix
+        def images(n, p):
+            return tuple(tuple(format_poly(act(poly_var(j, n, p))) for j in range(1, n + 1))
+                         for act in generator_actions(n, p))
 
-        t2, c2 = [[1, 1], [0, 1]], [[0, 1], [1, 0]]
-        t3, c3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-        assert gl_generators(1, 2) == ()
-        assert gl_generators(1, 3) == mats(3, [[2]])
-        assert gl_generators(2, 2) == mats(2, t2, c2)
-        assert gl_generators(2, 3) == mats(3, t2, c2, [[2, 0], [0, 1]])
-        assert gl_generators(3, 2) == mats(2, t3, c3)
-        assert gl_generators(3, 3) == mats(3, t3, c3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        t2, c2 = ("x1", "x1 + x2"), ("x2", "x1")
+        t3, c3 = ("x1", "x1 + x2", "x3"), ("x3", "x1", "x2")
+        assert images(1, 2) == ()
+        assert images(1, 3) == (("2*x1",),)
+        assert images(2, 2) == (t2, c2)
+        assert images(2, 3) == (t2, c2, ("2*x1", "x2"))
+        assert images(3, 2) == (t3, c3)
+        assert images(3, 3) == (t3, c3, ("2*x1", "x2", "x3"))
+        assert images(2, 5) == (t2, c2, ("2*x1", "x2"))
+        assert images(2, 7) == (t2, c2, ("3*x1", "x2"))
 
     def test_generators_invertible(self):
-        for (p, n) in [(2, 2), (3, 2), (5, 2), (2, 3)]:
-            for m in gl_generators(n, p):
-                assert m.is_invertible()
+        # each generator has an inverse among the products of the generators
+        for (p, n) in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 1)]:
+            group = closure(n, p)
+            for g in generator_matrices(n, p):
+                assert any(mat_mul(g, h, p) == identity(n) for h in group)
 
-    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 1), (3, 1)])
     def test_generators_span_group(self, p, n):
         # closure of the generating set under products is the whole group
-        gens = gl_generators(n, p)
-        seen = {Matrix.identity(n, p)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = m @ g
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        assert len(seen) == gl_order(n, p)
+        assert len(closure(n, p)) == math.prod(p ** n - p ** k for k in range(n))
 
 
 class TestInvariance:
@@ -517,10 +497,19 @@ class TestInvariance:
         assert is_invariant(poly_zero(2, 3))
 
     def test_full_group_agrees_with_generators(self):
-        # spot check: generator invariance implies invariance under all 48
-        f = dickson_Q(2, 1, 3)
-        for m in enumerate_gl(2, 3):
-            assert substitute_linear(f, m) == f
+        # generator invariance is invariance under every element of the
+        # closure: 6, 48 and 168 of them
+        for p, n in [(2, 2), (3, 2), (2, 3)]:
+            group = closure(n, p)
+            for s in range(n):
+                f = dickson_Q(n, s, p)
+                assert is_invariant(f)
+                assert all(substitute_linear(f, m) == f for m in group), (p, n, s)
+        # L_n picks up the determinant, so some element of GL(n, F_3) moves it
+        for n in (1, 2, 3):
+            f = L(n, n, 3)
+            assert not is_invariant(f)
+            assert any(substitute_linear(f, m) != f for m in closure(n, 3))
 
 
 # Every Q_{n,s} of these (p, n) meets the actions in the tests below.
@@ -529,15 +518,12 @@ ACTION_PAIRS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3),
 
 
 class TestGeneratorActions:
-    """The closed-form actions against substitution by the matrices of
-    gl_generators, generator by generator."""
+    """The closed-form actions against substitution by their matrices,
+    read off their images of x1..xn, generator by generator."""
 
     @staticmethod
     def assert_substitutions(f):
-        actions = generator_actions(f.n, f.p)
-        matrices = gl_generators(f.n, f.p)
-        assert len(actions) == len(matrices)
-        for act, mat in zip(actions, matrices):
+        for act, mat in zip(generator_actions(f.n, f.p), generator_matrices(f.n, f.p)):
             assert act(f) == substitute_linear(f, mat), mat
 
     @pytest.mark.parametrize("p,n", ACTION_PAIRS)
@@ -612,7 +598,7 @@ class TestDimensions:
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3)])
     def test_transvection_image(self, p, n):
         # the Lucas closed form against substitution by I + E_12
-        t = Matrix(p, [[int(a == b or (a, b) == (0, 1)) for b in range(n)] for a in range(n)])
+        t = [[int(a == b or (a, b) == (0, 1)) for b in range(n)] for a in range(n)]
         for d in range(8):
             for m in monomials(n, d):
                 mono = Poly(n, p, {m: 1})

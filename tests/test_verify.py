@@ -19,7 +19,7 @@ from dickson.verify import (
     run_grid,
 )
 
-from substitution import substitute_linear
+from substitution import generator_matrices, substitute_linear
 
 
 def small_config(**kw):
@@ -213,7 +213,7 @@ class TestRunCase:
         monkeypatch.setattr(verify, "L", lambda n_, s_, p_: (
             poly_mul(changed, real_L(n, n, p)) if (n_, s_, p_) == (n, s, p)
             else real_L(n_, s_, p_)))
-        images = [substitute_linear(changed, mat) for mat in invariants.gl_generators(n, p)]
+        images = [substitute_linear(changed, mat) for mat in generator_matrices(n, p)]
         image = next(f for f in images if f != changed)
         diff = {k for k in set(image.terms) | set(changed.terms)
                 if image.terms.get(k, 0) != changed.terms.get(k, 0)}
