@@ -19,7 +19,8 @@ monomials is then one integer addition, and every product of the sum adds
 into one accumulator, so a sum that cancels is never built in full
 (packed exponent vectors, after Monagan and Pearce, Sparse polynomial
 multiplication and division in Maple 14, 2009).  Packing never leaves that
-function.
+function, which is also the one place that asks the case budget
+(case_budget) about a product and checks its deadline.
 
 Also here: binomial coefficients mod p by Lucas' theorem, shared by the
 reduced powers and the invariant-dimension oracle.
@@ -30,6 +31,7 @@ sharing (memo tables, repeated references) safe without defensive copying.
 """
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -38,6 +40,12 @@ Terms = Dict[Monomial, int]
 
 PRIME_LIMIT = 2 ** 31
 EXPONENT_LIMIT = 2 ** 63
+
+# The budget of the verification case being run, or None.  poly_dot calls
+# its before_product(f_terms, g_terms) about every product before forming
+# any, and its checkpoint() once per row of each product; either raises to
+# stop the case.
+case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
 class ShapeError(ValueError):
@@ -274,7 +282,12 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
     packed monomial, which is reduced mod p once at the end, and only the
     surviving terms are unpacked: a sum that cancels down to a few terms
     never builds its products in full.
+
+    The case budget, if set, is asked about every nonzero product, in the
+    order given, before any is formed, and its deadline is checked once per
+    row of the outer loop.
     """
+    budget = case_budget.get()
     work = []
     for c, f, g in products:
         if f.n != n or f.p != p or g.n != n or g.p != p:
@@ -283,6 +296,8 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
             )
         c %= p
         if c and f.terms and g.terms:
+            if budget is not None:
+                budget.before_product(len(f.terms), len(g.terms))
             if len(f.terms) > len(g.terms):
                 f, g = g, f
             work.append((c, f, g))
@@ -319,6 +334,8 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
     for c, fcols, fcoeffs, gcols, gcoeffs in columns:
         gp = list(zip(_pack(gcols, fields), gcoeffs))
         for k1, c1 in zip(_pack(fcols, fields), fcoeffs):
+            if budget is not None:
+                budget.checkpoint()
             c1 *= c
             for k2, c2 in gp:
                 k = k1 + k2

@@ -21,7 +21,6 @@ by degree).
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from functools import lru_cache, partial
 from itertools import accumulate, permutations
 from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
@@ -53,13 +52,6 @@ DIMENSION_BOUND = 5000
 
 class BoundExceeded(ValueError):
     """A configurable enumeration bound would be exceeded."""
-
-
-# The budget of the verification case being run, or None.  The bracket
-# recursion, the main form and the corollary rows call its
-# before_product(f_terms, g_terms) before their products (_ask_budget),
-# which raises to stop the case.
-case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
 def _sign_unit(k: int, p: int) -> int:
@@ -188,15 +180,6 @@ def _P_bracket(n: int, i: int, s: int, p: int) -> Poly:
     return bracket(n, _prefix(n, s - 1) + (i - 1,), p)
 
 
-def _ask_budget(*products: Tuple[Poly, Poly]) -> None:
-    """Ask the case budget, if set, about every product f g before any is
-    formed."""
-    budget = case_budget.get()
-    if budget is not None:
-        for f, g in products:
-            budget.before_product(len(f.terms), len(g.terms))
-
-
 def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
                    base: Callable[[int], Poly]) -> Poly:
     """sum over t in 0..n-1 of (-1)**(n+t-1) lows[t] base(t)**(p**e).
@@ -204,15 +187,12 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     The one step of the length-n bracket recursion, shared by the bracket
     side (recursion_rhs, base(t) = Q_{n,t}) and its quotients by L_n
     (_quotient, base(t) = Q_{n,t} in x or y_t in Dickson coordinates).
-    base(t) is built only for a nonzero lows[t]; the case budget, if set,
-    is asked about every product before any is formed.  The products add
-    in one poly_dot, so none is built in full: on the bracket side the sum
-    cancels down to an n!-term bracket.
+    base(t) is built only for a nonzero lows[t].  The products add in one
+    poly_dot, so none is built in full: on the bracket side the sum cancels
+    down to an n!-term bracket.
     """
-    factors = [(t, low, base(t)) for t, low in enumerate(lows) if low.terms]
-    _ask_budget(*((low, b) for _, low, b in factors))
-    return poly_dot([(_sign_unit(n + t - 1, p), low, frobenius(b, e))
-                     for t, low, b in factors], n, p)
+    return poly_dot([(_sign_unit(n + t - 1, p), low, frobenius(base(t), e))
+                     for t, low in enumerate(lows) if low.terms], n, p)
 
 
 def _quotient(n: int, left: int, j: int, p: int, lower: Callable[[int], Poly],

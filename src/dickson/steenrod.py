@@ -54,7 +54,7 @@ from .fp_poly import (
     poly_zero,
 )
 from .invariants import (
-    L, P_coef, R_coef, _P_bracket, _ask_budget, _prefix, _sign_unit, bracket, dickson_Q,
+    L, P_coef, R_coef, _P_bracket, _prefix, _sign_unit, bracket, dickson_Q,
 )
 
 
@@ -171,15 +171,11 @@ def _main_form(n: int, s: int, p: int, R: Poly, P: Poly, sign: int) -> Poly:
     |P| n! term pairs.  In the order written, R**p Q_{n,s} - P**p is built
     in full (38,596 terms at (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0}
     cancels it down.  Where the sum is no bracket (a wrong row), the last
-    product can be wide, so the case budget, if set, is asked before each
-    product.
+    product can be wide; poly_dot asks the case budget about it first.
     """
-    r_p, l_s, l_n, p_p = frobenius(R, 1), L(n, s, p), L(n, n, p), frobenius(P, 1)
-    _ask_budget((r_p, l_s), (l_n, p_p))
-    inner = poly_dot([(1, r_p, l_s), (sign, l_n, p_p)], n, p)
-    l_pow = _L_pow(n, p)
-    _ask_budget((l_pow, inner))
-    return poly_dot([(_sign_unit(n, p), l_pow, inner)], n, p)
+    inner = poly_dot([(1, frobenius(R, 1), L(n, s, p)), (sign, L(n, n, p), frobenius(P, 1))],
+                     n, p)
+    return poly_dot([(_sign_unit(n, p), _L_pow(n, p), inner)], n, p)
 
 
 def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
@@ -217,29 +213,27 @@ def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
 
 
 # The corollary rows (R, P, sign) for i = n + 1, n + 2, n + 3, as tabulated
-# in the Dickson invariants; q(t, e) is Q_{n,t}**(p**e), zero for t < 0, and
-# mul the product that asks the case budget first (see _read_row).
+# in the Dickson invariants; q(t, e) is Q_{n,t}**(p**e), zero for t < 0.
 _Row = Tuple[Poly, Poly, int]
-_Mul = Callable[[Poly, Poly], Poly]
 
 
-def _row_n1(q: Callable[..., Poly], mul: _Mul, n: int, s: int) -> _Row:
+def _row_n1(q: Callable[..., Poly], n: int, s: int) -> _Row:
     return q(n - 1), q(s - 1), -1
 
 
-def _row_n2(q: Callable[..., Poly], mul: _Mul, n: int, s: int) -> _Row:
-    rr = poly_sub(mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))
-    pp = poly_sub(mul(q(s - 1), q(n - 1, 1)), q(s - 2, 1))
+def _row_n2(q: Callable[..., Poly], n: int, s: int) -> _Row:
+    rr = poly_sub(poly_mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))
+    pp = poly_sub(poly_mul(q(s - 1), q(n - 1, 1)), q(s - 2, 1))
     return rr, pp, -1
 
 
-def _row_n3(q: Callable[..., Poly], mul: _Mul, n: int, s: int) -> _Row:
-    phat = poly_sub(q(s - 3, 2), mul(q(s - 2, 1), q(n - 1, 2)))
-    phat = poly_sub(phat, mul(q(s - 1), q(n - 2, 2)))
-    phat = poly_add(phat, mul(q(s - 1), mul(q(n - 1, 2), q(n - 1, 1))))
-    rhat = poly_sub(q(n - 3, 2), mul(q(n - 2, 2), q(n - 1)))
-    rhat = poly_sub(rhat, mul(q(n - 2, 1), q(n - 1, 2)))
-    rhat = poly_add(rhat, mul(q(n - 1), mul(q(n - 1, 2), q(n - 1, 1))))
+def _row_n3(q: Callable[..., Poly], n: int, s: int) -> _Row:
+    phat = poly_sub(q(s - 3, 2), poly_mul(q(s - 2, 1), q(n - 1, 2)))
+    phat = poly_sub(phat, poly_mul(q(s - 1), q(n - 2, 2)))
+    phat = poly_add(phat, poly_mul(q(s - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
+    rhat = poly_sub(q(n - 3, 2), poly_mul(q(n - 2, 2), q(n - 1)))
+    rhat = poly_sub(rhat, poly_mul(q(n - 2, 1), q(n - 1, 2)))
+    rhat = poly_add(rhat, poly_mul(q(n - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
     # The corollary as published adds Phat**p; the theorem subtracts it.
     return rhat, phat, +1
 
@@ -247,21 +241,13 @@ def _row_n3(q: Callable[..., Poly], mul: _Mul, n: int, s: int) -> _Row:
 _COROLLARY_ROWS = {"n+1": _row_n1, "n+2": _row_n2, "n+3": _row_n3}
 
 
-def _budgeted_mul(f: Poly, g: Poly) -> Poly:
-    """f * g, once the case budget, if set, has allowed it."""
-    _ask_budget((f, g))
-    return poly_mul(f, g)
-
-
 def _read_row(which: str, n: int, s: int, p: int, base: Callable[[int], Poly]) -> _Row:
     """The row _COROLLARY_ROWS[which] read with q(t, e) = base(t)**(p**e),
-    zero for t < 0: base(t) is Q_{n,t} in x, or y_t in Dickson coordinates.
-    Every product of the row asks the case budget before it is formed
-    (_budgeted_mul)."""
+    zero for t < 0: base(t) is Q_{n,t} in x, or y_t in Dickson coordinates."""
     def q(t: int, e: int = 0) -> Poly:
         return frobenius(base(t), e) if t >= 0 else poly_zero(n, p)
 
-    return _COROLLARY_ROWS[which](q, _budgeted_mul, n, s)
+    return _COROLLARY_ROWS[which](q, n, s)
 
 
 def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -> Poly:

@@ -47,6 +47,7 @@ from ._version import __version__
 from .fp_poly import (
     Monomial,
     Poly,
+    case_budget,
     format_poly,
     frobenius,
     grevlex_key,
@@ -65,7 +66,6 @@ from .invariants import (
     _P_bracket,
     _prefix,
     bracket,
-    case_budget,
     dickson_Q,
     dickson_monomial_count,
     generator_actions,
@@ -400,9 +400,7 @@ def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
     n, s, p = spec.n, spec.s, spec.p
     f = dickson_Q(n, s, p)
     budget.guard(f)
-    base = L(n, n, p)
-    budget.before_product(len(f.terms), len(base.terms))
-    product = poly_mul(f, base)
+    product = poly_mul(f, L(n, n, p))
     if product != L(n, s, p):
         return _compare(product, L(n, s, p))
     for act in generator_actions(n, p):
@@ -519,9 +517,10 @@ def run_case(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> CaseResult:
     """Evaluate one case.  Resource exhaustion gives skipped with a reason,
-    never failed; that includes an exponent past 2**63 (OverflowError).
-    While the case runs, its budget is invariants.case_budget, so the
-    quotient recursion stops before a product that would break it."""
+    never failed; that includes an exponent past 2**63 (OverflowError) and
+    running out of memory (MemoryError).  While the case runs, its budget
+    is fp_poly.case_budget, so every product stops before it would break
+    the term budget, and at the deadline while it is formed."""
     family = _FAMILIES.get(spec.theorem)
     if family is None:
         raise ValueError(f"unknown theorem {spec.theorem!r}")
@@ -531,8 +530,9 @@ def run_case(
     skip_reason = None
     try:
         passed, flagged, witness = family.check(spec, budget)
-    except (BudgetExceeded, BoundExceeded, OverflowError) as exc:
-        passed, flagged, witness, skip_reason = False, False, None, str(exc)
+    except (BudgetExceeded, BoundExceeded, OverflowError, MemoryError) as exc:
+        passed, flagged, witness = False, False, None
+        skip_reason = "out of memory" if isinstance(exc, MemoryError) else str(exc)
     finally:
         case_budget.reset(token)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)

@@ -11,15 +11,17 @@ from dickson import fp_poly
 def dot_spy(monkeypatch):
     """Spy on poly_dot, the one product kernel, in every dickson module
     that binds it; poly_mul is its one-product call, so every product is
-    seen.  Records the term pairs len(f) * len(g) of each product handed
-    to it (in .pairs) and the terms of each result (in .widths)."""
+    seen.  Records, once the kernel has returned, the term pairs
+    len(f) * len(g) of each product formed (in .pairs) and the terms of
+    each result (in .widths): a product the case budget refuses is never
+    recorded."""
     real = fp_poly.poly_dot
     seen = SimpleNamespace(pairs=[], widths=[])
 
     def spy(products, n, p):
         products = list(products)
-        seen.pairs.extend(len(f.terms) * len(g.terms) for _, f, g in products)
         result = real(products, n, p)
+        seen.pairs.extend(len(f.terms) * len(g.terms) for _, f, g in products)
         seen.widths.append(len(result.terms))
         return result
 
@@ -28,3 +30,35 @@ def dot_spy(monkeypatch):
                 and getattr(module, "poly_dot", None) is real:
             monkeypatch.setattr(module, "poly_dot", spy)
     return seen
+
+
+class _Refuse:
+    """A case budget that records the (f_terms, g_terms) of each product it
+    is asked about in .asked, and refuses it."""
+
+    def __init__(self):
+        self.asked = []
+
+    def before_product(self, f_terms, g_terms):
+        self.asked.append((f_terms, g_terms))
+        raise RuntimeError("refused")
+
+    def checkpoint(self):
+        pass
+
+
+@pytest.fixture
+def refused():
+    """refused(build, *args) runs build(*args) under a case budget that
+    refuses every product, checks that it stopped there, and returns the
+    (f_terms, g_terms) the budget was asked about."""
+    def run(build, *args):
+        budget = _Refuse()
+        token = fp_poly.case_budget.set(budget)
+        try:
+            with pytest.raises(RuntimeError, match="refused"):
+                build(*args)
+        finally:
+            fp_poly.case_budget.reset(token)
+        return budget.asked
+    return run

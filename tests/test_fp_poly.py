@@ -8,6 +8,7 @@ from dickson.fp_poly import (
     ParseError,
     Poly,
     ShapeError,
+    case_budget,
     format_poly,
     frobenius,
     grevlex_key,
@@ -308,6 +309,63 @@ class TestDot:
         assert poly_dot([(1, h, parse_poly("x1 + x2", 2, 3))], 2, 3) == \
             schoolbook(h, parse_poly("x1 + x2", 2, 3))
 
+    def test_asks_the_case_budget_about_every_product_before_forming_any(self):
+        # in the order given, before the smaller operand is put first; a
+        # zero coefficient or operand is no product.  checkpoint is called
+        # per row of a product being formed
+        n, p = 2, 5
+        big = parse_poly("x1^3 + x1*x2 + x2^2 + 1", n, p)
+        small = parse_poly("x1 + x2", n, p)
+        products = [(0, small, small), (1, poly_zero(n, p), big), (3, big, small), (1, small, big)]
+        asked = []
+
+        class Record:
+            def before_product(self, f_terms, g_terms):
+                asked.append((f_terms, g_terms))
+
+            def checkpoint(self):
+                assert len(asked) == 2, "a product was formed before every ask"
+
+        want = dot_reference(products, n, p)
+        token = case_budget.set(Record())
+        try:
+            assert poly_dot(products, n, p) == want
+        finally:
+            case_budget.reset(token)
+        assert asked == [(4, 2), (2, 4)]
+
+    def test_the_deadline_is_checked_once_per_row(self):
+        # f has 3 terms, so the product is formed in 3 rows; a deadline met
+        # at the second checkpoint stops it there
+        n, p = 2, 3
+        f = parse_poly("x1 + x2 + 1", n, p)
+        g = parse_poly("x1^2 + 2*x2^3 + x1*x2 + 1", n, p)
+        calls = []
+
+        class Deadline:
+            def __init__(self, at):
+                self.at = at
+
+            def before_product(self, f_terms, g_terms):
+                pass
+
+            def checkpoint(self):
+                calls.append(len(calls) + 1)
+                if len(calls) == self.at:
+                    raise RuntimeError("time budget exceeded")
+
+        token = case_budget.set(Deadline(at=2))
+        try:
+            with pytest.raises(RuntimeError):
+                poly_mul(f, g)
+            assert calls == [1, 2]
+            calls.clear()
+            case_budget.set(Deadline(at=0))
+            assert poly_mul(g, f) == schoolbook(f, g)
+            assert calls == [1, 2, 3]
+        finally:
+            case_budget.reset(token)
+
 
 class TestFrobeniusAndPow:
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -338,6 +396,11 @@ class TestFrobeniusAndPow:
             for k in range(7):
                 assert poly_pow(f, k) == acc
                 acc = poly_mul(acc, f)
+
+    def test_pow_asks_the_case_budget(self, refused):
+        # f**4 squares f first, and the budget refuses that square
+        f = parse_poly("x1 + x2 + 1", 2, 3)
+        assert refused(poly_pow, f, 4) == [(3, 3)]
 
     def test_pow_edge_cases(self):
         z = poly_zero(2, 5)

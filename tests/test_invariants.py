@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from dickson import invariants
+from dickson import fp_poly, invariants
 from dickson.fp_poly import (
     Poly,
     format_poly,
@@ -355,12 +355,12 @@ class TestCoefficientQuotients:
                 if len(asked) == 3:
                     raise RuntimeError("refused")
 
-        token = invariants.case_budget.set(Refuse())
+        token = fp_poly.case_budget.set(Refuse())
         try:
             with pytest.raises(RuntimeError):
                 R_coef.__wrapped__(3, 7, 3)
         finally:
-            invariants.case_budget.reset(token)
+            fp_poly.case_budget.reset(token)
         assert asked == [(len(low.terms), len(q.terms)) for low, q in zip(lows, qs)]
         assert dot_spy.pairs == []
 
@@ -404,12 +404,12 @@ class TestRecursion:
                 if len(asked) == 2:
                     raise RuntimeError("refused")
 
-        token = invariants.case_budget.set(Refuse())
+        token = fp_poly.case_budget.set(Refuse())
         try:
             with pytest.raises(RuntimeError):
                 recursion_rhs(3, (0, 2), 1, 3)
         finally:
-            invariants.case_budget.reset(token)
+            fp_poly.case_budget.reset(token)
         assert asked == [(len(lows[t].terms), len(qs[t].terms)) for t in (0, 2)]
         assert dot_spy.pairs == []
 

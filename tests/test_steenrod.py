@@ -205,6 +205,12 @@ class TestClosedFormRoutes:
                 assert direct == st_delta_via_dl2(n, s, i, p)
                 assert direct == st_delta_via_main(n, s, i, p)
 
+    def test_determinant_route_asks_the_case_budget(self, dot_spy, refused):
+        # at p = 3, L_3**(p-2) is L_3 itself: the route's one product is
+        # the 6-term bracket by the 6-term L_3, refused before it is formed
+        assert refused(st_delta_via_dl2, 3, 1, 5, 3) == [(6, 6)]
+        assert dot_spy.pairs == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             st_delta_via_dl2(2, 2, 1, 3)
@@ -336,6 +342,11 @@ class TestCorollaryForms:
         corollary_rhs("kernel", 4, 3, 2, i=7)
         corollary_rhs("kernel", 3, 2, 3, i=6)
         assert dot_spy.pairs and sum(dot_spy.pairs) < 1_000
+
+    def test_kernel_form_asks_the_case_budget(self, dot_spy, refused):
+        # L_3**(p-2) = L_3 at p = 3, by the 6-term bracket [1, 2, 4]
+        assert refused(corollary_rhs, "kernel", 3, 1, 3, 5) == [(6, 6)]
+        assert dot_spy.pairs == []
 
     def test_kernel_grid_at_five_three(self):
         # The odd-p, n = 3 kernel cases, i <= 6.

@@ -6,8 +6,8 @@ import pytest
 
 from dickson import cli, fp_poly, invariants, steenrod, verify
 from dickson.cli import main
-from dickson.fp_poly import Poly, grevlex_key, parse_poly, poly_mul, poly_scale
-from dickson.invariants import P_coef, R_coef, case_budget, recursion_rhs
+from dickson.fp_poly import Poly, case_budget, grevlex_key, parse_poly, poly_mul, poly_scale
+from dickson.invariants import P_coef, R_coef, recursion_rhs
 from dickson.verify import (
     CaseSpec,
     GridConfig,
@@ -190,6 +190,31 @@ class TestRunCase:
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 120 by 4759 terms exceeds the budget 500000"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
+        assert case_budget.get() is None
+
+    def test_dickson_recursion_stops_before_a_wide_product(self, dot_spy):
+        # q0-power builds Q_{5,0} by Dickson's recursion, whose products
+        # ask the budget like every other product
+        invariants._dickson_row.cache_clear()
+        invariants.dickson_Q.cache_clear()
+        try:
+            r = run_case(CaseSpec("q0-power", 2, 5), term_budget=1000)
+        finally:
+            invariants._dickson_row.cache_clear()
+            invariants.dickson_Q.cache_clear()
+        assert r.skipped and not r.passed
+        assert r.skip_reason.startswith("a product of ")
+        assert dot_spy.pairs and max(dot_spy.pairs) <= 1000
+        assert case_budget.get() is None
+
+    def test_out_of_memory_skips(self, monkeypatch):
+        def exhausted(n, s, p):
+            raise MemoryError()
+
+        monkeypatch.setattr(verify, "dickson_Q", exhausted)
+        r = run_case(CaseSpec("q0-power", 2, 2))
+        assert r.skipped and not r.passed and r.witness is None
+        assert r.skip_reason == "out of memory"
         assert case_budget.get() is None
 
     def test_main_passes_where_the_x_route_runs_over_budget(self):
@@ -411,17 +436,17 @@ def clear_caches():
 
 def drop_first_term_of_rhat(row):
     # the n+3 row without the Q_{n,n-3}**(p**2) term of its Rhat
-    def dropped(q, mul, n, s):
-        rr, pp, sign = row(q, mul, n, s)
+    def dropped(q, n, s):
+        rr, pp, sign = row(q, n, s)
         return fp_poly.poly_sub(rr, q(n - 3, 2)), pp, sign
     return dropped
 
 
 def drop_last_term_of_R(row):
     # the n+2 row without the Q_{n,n-2}**p term of its R
-    def dropped(q, mul, n, s):
-        _, pp, sign = row(q, mul, n, s)
-        return mul(q(n - 1), q(n - 1, 1)), pp, sign
+    def dropped(q, n, s):
+        _, pp, sign = row(q, n, s)
+        return poly_mul(q(n - 1), q(n - 1, 1)), pp, sign
     return dropped
 
 

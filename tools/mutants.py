@@ -124,12 +124,12 @@ MUTANTS = [
            {"moved": ["cor-n3 p=3 n=2 s=1", "cor-n3 p=5 n=2 s=1"]}),
     # the corollary rows
     Mutant("q(n-2, 1) dropped from the n+2 row's R", "steenrod.py",
-           "rr = poly_sub(mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))",
-           "rr = mul(q(n - 1), q(n - 1, 1))",
+           "rr = poly_sub(poly_mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))",
+           "rr = poly_mul(q(n - 1), q(n - 1, 1))",
            {"failed": {"cor-n2": 9}}),
     Mutant("the first term of the n+3 row's Rhat dropped", "steenrod.py",
-           "rhat = poly_sub(q(n - 3, 2), mul(",
-           "rhat = poly_sub(q(-1), mul(",
+           "rhat = poly_sub(q(n - 3, 2), poly_mul(",
+           "rhat = poly_sub(q(-1), poly_mul(",
            {"failed": {"cor-n3": 3}}),
     Mutant("the n+3 row's sign set to -1", "steenrod.py",
            "return rhat, phat, +1",
