@@ -189,7 +189,9 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     (_quotient, base(t) = Q_{n,t} in x or y_t in Dickson coordinates).
     base(t) is built only for a nonzero lows[t].  The products add in one
     poly_dot, so none is built in full: on the bracket side the sum cancels
-    down to an n!-term bracket.
+    down to an n!-term bracket.  The certificate of the main theorem
+    (verify._step_holds) writes the y-side sum again on its own, so that a
+    wiring fault here fails a check.
     """
     return poly_dot([(_sign_unit(n + t - 1, p), low, frobenius(base(t), e))
                      for t, low in enumerate(lows) if low.terms], n, p)
@@ -256,7 +258,9 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
     which equals bracket(n, prefix + (e + n,), p) identically.  A zero
     bracket (a repeated row) is skipped before its Q factor is built, and
     the case budget, if set, is asked about every product before any is
-    formed.
+    formed.  Only the recursion family checks these instances in x; the
+    certificate of the main theorem derives them from the roots of
+    Dickson's polynomial (verify._roots_hold) instead.
     """
     prefix = tuple(prefix)
     if len(prefix) != n - 1:
@@ -275,8 +279,11 @@ def y_quotient(n: int, left: int, j: int, p: int) -> Poly:
     y_t, that becomes the quotient under y_t -> Q_{n,t}.
 
     y -> Q is a ring map that commutes with Frobenius, so wherever the
-    recursion instances [prefix, e + n] = recursion_rhs(n, prefix, e, p)
-    hold, the image of y_quotient(n, left, j, p) times L_n is the bracket.
+    bracket recursion instances [prefix, e + n] = recursion_rhs(n, prefix,
+    e, p) hold, the image of y_quotient(n, left, j, p) times L_n is the
+    bracket.  They all hold once Dickson's polynomial vanishes at each xj,
+    which is how the certificate of the main theorem proves them
+    (verify._step_holds), with the y-side recursion checked as stated.
     R_coef(n, i, p) is the image of y_quotient(n, n - 1, i - 1, p),
     P_coef(n, i, s, p) that of y_quotient(n, s - 1, i - 1, p); both are far
     smaller here (R_{2,15} at p = 3: 377 terms against 2,391,484).

@@ -9,10 +9,12 @@ from the theorem in its sign alone (the i = n + 3 row, at odd p).
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
-recursion instances behind the bracket quotients and q0-power on the x
-side, and one identity in the free ring F_p[y_0..y_{n-1}], where the
-quotients are small polynomials in y_t = Q_{n,t} (invariants.y_quotient).
-A pass is a proof, since y -> Q is a ring map that commutes with Frobenius.
+base cases of the bracket quotients and the vanishing of Dickson's
+polynomial at each x_j, q0-power on the x side, and in the free ring
+F_p[y_0..y_{n-1}], where the quotients are small polynomials in
+y_t = Q_{n,t} (invariants.y_quotient), the recursion that carries them
+up and one identity between them.  A pass is a proof, since y -> Q is a
+ring map that commutes with Frobenius.
 routes-agree keeps the x route: it compares st_delta_via_main, built from
 R_coef and P_coef, the same quotients in x (one body builds both), with
 the determinant route.
@@ -53,6 +55,7 @@ from .fp_poly import (
     grevlex_key,
     poly_add,
     poly_const,
+    poly_dot,
     poly_mul,
     poly_pow,
     poly_sub,
@@ -65,6 +68,7 @@ from .invariants import (
     L,
     _P_bracket,
     _prefix,
+    _sign_unit,
     bracket,
     dickson_Q,
     dickson_monomial_count,
@@ -219,28 +223,57 @@ def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outco
 
 
 @lru_cache(maxsize=None)
+def _roots_hold(n: int, p: int) -> bool:
+    """Whether Dickson's polynomial f_n(X) = sum over t in 0..n of
+    (-1)**(n-t) Q_{n,t} X**(p**t), with Q_{n,n} = 1, vanishes at each of
+    x1, .., xn: one poly_dot per variable, checked at most once per
+    process (L. E. Dickson, Trans. AMS 12, 1911; C. Wilkerson, A primer on
+    the Dickson invariants, 1983).
+
+    Raised to the p**e-th power, the root at xj rewrites xj**(p**(e+n)) as
+    sum over t of (-1)**(n-1-t) Q_{n,t}**(p**e) xj**(p**(e+t)), with the
+    same coefficients for every j.  So, the bracket being linear in its
+    last row, every bracket recursion instance follows:
+    [prefix, e + n] = sum over t of (-1)**(n+t-1) Q_{n,t}**(p**e) [prefix, e + t].
+    """
+    for j in range(1, n + 1):
+        x = poly_var(j, n, p)
+        if poly_dot([(_sign_unit(n - t, p), dickson_Q(n, t, p), frobenius(x, t))
+                     for t in range(n + 1)], n, p).terms:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
 def _step_holds(n: int, left: int, j: int, p: int) -> bool:
     """One step of the induction behind _quotients_proven, checked at most
-    once per process, the prefix being 0..n-1 with left left out: for j < n
-    the base case [prefix, j] = L_n y_quotient(n, left, j, p), a constant;
-    above, the recursion instance [prefix, j] = recursion_rhs(n, prefix,
-    j - n, p)."""
-    prefix = _prefix(n, left)
-    lhs = bracket(n, prefix + (j,), p)
+    once per process, the prefix being 0..n-1 with left left out.  For
+    j < n, the base case [prefix, j] = L_n y_quotient(n, left, j, p), a
+    constant, in x.  Above, the roots of Dickson's polynomial (_roots_hold)
+    and the y-recursion as stated, written here and not through the
+    builder: F(j) = sum over t of (-1)**(n+t-1) F(j - n + t) y_t**(p**(j-n)),
+    F(k) = y_quotient(n, left, k, p).  No bracket above j < n is built."""
     if j < n:
+        lhs = bracket(n, _prefix(n, left) + (j,), p)
         return lhs == poly_mul(L(n, n, p), y_quotient(n, left, j, p))
-    return lhs == recursion_rhs(n, prefix, j - n, p)
+    if not _roots_hold(n, p):
+        return False
+    rhs = poly_dot([(_sign_unit(n + t - 1, p), y_quotient(n, left, j - n + t, p),
+                     frobenius(poly_var(t + 1, n, p), j - n)) for t in range(n)], n, p)
+    return y_quotient(n, left, j, p) == rhs
 
 
 def _quotients_proven(n: int, left: int, top: int, p: int) -> bool:
     """Whether [prefix, j] = L_n y_quotient(n, left, j, p)(Q) is proven for
     every j <= top, the prefix being 0..n-1 with left left out.
 
-    By induction on j: the base cases j < n are checked as they stand, and
-    above them the instance [prefix, j] carries the claim from j - n..j - 1
-    to j, because y_quotient follows the same recursion and y -> Q is a
-    ring map that commutes with Frobenius.  So the induction reaches top
-    only if every step up to top holds.
+    By induction on j: the base cases j < n are checked as they stand.
+    Above them, the roots of Dickson's polynomial give the bracket
+    recursion instance [prefix, j] = sum over t of
+    (-1)**(n+t-1) [prefix, j - n + t] Q_{n,t}**(p**(j-n)), and y_quotient
+    is checked to follow the same recursion in y; as y -> Q is a ring map
+    that commutes with Frobenius, the two carry the claim from j - n..j - 1
+    to j.  So the induction reaches top only if every step up to top holds.
     """
     j = -1
     while j < top and _step_holds(n, left, j + 1, p):
@@ -255,14 +288,16 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
     With X = [0..n-1 without s, i], R = [0..n-2, i-1] and
     P = [0..n-1 without s-1, i-1], each divided by L_n:
       1. det-formula: st_delta(Q_{n,s}, i) = (-1)**n L_n**(p-2) L_n X;
-      2. the base cases and the recursion instances that carry X, R and P
-         up from them, so that L_n times the image of y_quotient under
-         y -> Q is each bracket;
+      2. the base cases in x, the roots of Dickson's polynomial in x, and
+         the y-recursion that carries X, R and P up from the base cases
+         (_quotients_proven), so that L_n times the image of y_quotient
+         under y -> Q is each bracket;
       3. q0-power: Q_{n,0} = L_n**(p-1);
       4. in the free ring F_p[y]: X = R**p y_s - P**p.
     Together: st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p).
-    Only links 1 to 3 are built in x, and each step of link 2 once per
-    process; the quotients themselves stay in y, where they are small.
+    Only links 1 to 3 are built in x, and of link 2 only the base cases and
+    the n roots, each once per process; the quotients themselves stay in
+    y, where they are small.
     """
     n, s, p = spec.n, spec.s, spec.p
     if not _case_st_delta_Q(spec, budget, i, st_delta_via_dl2)[0]:

@@ -1,4 +1,5 @@
 """Verification grid plumbing: case dispatch, reports, determinism, CLI."""
+import functools
 import json
 from collections import Counter
 
@@ -333,24 +334,68 @@ class TestMainCertificate:
         report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (2, 3))))
         assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
 
-    def test_each_instance_is_checked_once(self, monkeypatch):
-        calls = []
+    def test_each_step_and_the_roots_are_checked_once(self, monkeypatch):
+        # link 2 states no bracket recursion instance: two runs evaluate
+        # each step of the induction once and the roots of Dickson's
+        # polynomial once for (n, p) = (2, 5)
+        calls = {"recursion_rhs": [], "_step_holds": [], "_roots_hold": []}
 
-        def spy(n, prefix, e, p):
-            calls.append((n, prefix, e, p))
-            return recursion_rhs(n, prefix, e, p)
+        def spy(name, real):
+            def record(*args):
+                calls[name].append(args)
+                return real(*args)
+            return record
 
-        verify._step_holds.cache_clear()
-        monkeypatch.setattr(verify, "recursion_rhs", spy)
+        for module in (verify, invariants):
+            monkeypatch.setattr(module, "recursion_rhs", spy("recursion_rhs", recursion_rhs))
+        for name in ("_step_holds", "_roots_hold"):
+            cached = getattr(verify, name)
+            monkeypatch.setattr(verify, name, functools.lru_cache(maxsize=None)(
+                spy(name, cached.__wrapped__)))
+        for _ in range(2):
+            run_grid(GridConfig(theorems=("main",), pairs=((5, 2),)))
+        assert calls["recursion_rhs"] == []
+        # the prefixes (1,) and (0,), each up to j = 6
+        assert sorted(calls["_step_holds"]) == sorted(
+            (2, left, j, 5) for left in (0, 1) for j in range(7))
+        assert calls["_roots_hold"] == [(2, 5)]
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4)])
+    def test_the_roots_fail_without_any_one_term_of_a_Q(self, monkeypatch, p, n):
+        real = verify.dickson_Q
+        for t in range(n):
+            q = real(n, t, p)
+            for m in q.terms:
+                dropped = Poly(n, p, {k: c for k, c in q.terms.items() if k != m})
+                monkeypatch.setattr(verify, "dickson_Q", lambda n_, t_, p_: (
+                    dropped if (n_, t_, p_) == (n, t, p) else real(n_, t_, p_)))
+                assert not verify._roots_hold.__wrapped__(n, p), (t, m)
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5), (5, 3)])
+    def test_the_roots_hold(self, p, n):
+        assert verify._roots_hold.__wrapped__(n, p)
+
+    def test_a_wiring_fault_in_the_quotient_builder_fails_link_2(self, monkeypatch):
+        # the builder's recursion with Frobenius index j - n + 1 above n:
+        # the y-recursion that link 2 states on its own tells it apart
+        real = invariants._quotient
+
+        def shifted(n, left, j, p, lower, base):
+            if j < n:
+                return real(n, left, j, p, lower, base)
+            return invariants._recursion_sum(
+                n, j - n + 1, p, [lower(j - n + t) for t in range(n)], base)
+
+        clear_caches()
+        monkeypatch.setattr(invariants, "_quotient", shifted)
         try:
-            for _ in range(2):
-                run_grid(GridConfig(theorems=("main",), pairs=((5, 2),)))
+            specs = [spec for spec in grid_cases(GridConfig(
+                theorems=("main",), pairs=((2, 2), (3, 2), (5, 2)))) if spec.i >= spec.n]
+            gaps = [verify._certificate_gap(spec, budget(), spec.i) for spec in specs]
         finally:
-            verify._step_holds.cache_clear()
-        assert len(calls) == len(set(calls))
-        # the prefixes (1,) and (0,), each up to e = 6 - 2
-        assert sorted(calls) == sorted(
-            (2, prefix, e, 5) for prefix in ((0,), (1,)) for e in range(5))
+            clear_caches()
+        assert len(specs) == 30
+        assert all(gap.startswith("recursion up to ") for gap in gaps), gaps
 
     # Each corruption breaks one link; i >= n, so every case needs an
     # instance of the recursion.
@@ -428,8 +473,8 @@ def x_route(spec):
 
 
 def clear_caches():
-    for cached in (verify._step_holds, invariants.y_quotient, invariants.bracket,
-                   invariants.dickson_Q, invariants._dickson_row,
+    for cached in (verify._step_holds, verify._roots_hold, invariants.y_quotient,
+                   invariants.bracket, invariants.dickson_Q, invariants._dickson_row,
                    invariants.R_coef, invariants.P_coef):
         cached.cache_clear()
 

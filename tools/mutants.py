@@ -58,7 +58,7 @@ MUTANTS = [
     Mutant("no Frobenius on Q_{k-1,t-1}", "invariants.py",
            "poly_add(frobenius(lower[t], 1), poly_mul(v, q[t]))",
            "poly_add(lower[t], poly_mul(v, q[t]))",
-           {"failed": {"main": 51, "det-formula": 39, "routes-agree": 51, "smith-switzer": 15,
+           {"failed": {"main": 54, "det-formula": 39, "routes-agree": 51, "smith-switzer": 15,
                        "cor-n1": 9, "cor-n2": 9, "cor-n3": 9, "invariance": 6, "recursion": 4,
                        "q0-power": 1},
             "sign_flag": 0}),
@@ -118,6 +118,15 @@ MUTANTS = [
            "while j < top and _step_holds(",
            "while j < top - 1 and _step_holds(",
            {"failed": {"main": 67, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
+    Mutant("the sign of the t = 0 term of the roots check flipped (p = 2 cannot see it)",
+           "verify.py",
+           "if poly_dot([(_sign_unit(n - t, p), dickson_Q(n, t, p),",
+           "if poly_dot([(_sign_unit(n - t + (t == 0), p), dickson_Q(n, t, p),",
+           {"failed": {"main": 25, "cor-n1": 5, "cor-n2": 5, "cor-n3": 5}}),
+    Mutant("the y-recursion of link 2 with Frobenius index j - n + 1", "verify.py",
+           "frobenius(poly_var(t + 1, n, p), j - n)) for t in range(n)], n, p)",
+           "frobenius(poly_var(t + 1, n, p), j - n + 1)) for t in range(n)], n, p)",
+           {"failed": {"main": 55, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
     Mutant("the flag witness read as (p - 1) lead", "verify.py",
            "top = tuple(p * a - b for a, b in",
            "top = tuple((p - 1) * a - b for a, b in",
