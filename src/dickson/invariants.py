@@ -258,7 +258,9 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
     which equals bracket(n, prefix + (e + n,), p) identically.  A zero
     bracket (a repeated row) is skipped before its Q factor is built, and
     the case budget, if set, is asked about every product before any is
-    formed.  Only the recursion family checks these instances in x; the
+    formed.  Only the recursion family checks these instances in x, and
+    calls this once per nondecreasing prefix and e of its box, each other
+    ordering following from its rows (verify._case_recursion); the
     certificate of the main theorem derives them from the roots of
     Dickson's polynomial (verify._roots_hold) instead.
     """

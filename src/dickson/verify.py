@@ -42,7 +42,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
@@ -58,6 +58,7 @@ from .fp_poly import (
     poly_dot,
     poly_mul,
     poly_pow,
+    poly_scale,
     poly_sub,
     poly_var,
     poly_zero,
@@ -396,17 +397,31 @@ def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
     """Every recursion instance [prefix, e + n] in the box (each prefix
     entry in 0..3, e in 0..2), and at e = 3 each prefix 0..n-1 with one
     entry left out: R_coef and P_coef divide these instances by L_n, up to
-    i = n + 4, the default top index."""
+    i = n + 4, the default top index.
+
+    A nondecreasing prefix has its instance checked as stated.  Any other
+    ordering of it, with sign sgn = (-1)**(its inversions), has each row
+    [prefix, k], k = e..e+n, compared with sgn times the sorted prefix's
+    row: the recursion sum is linear in these rows, so that and the sorted
+    instance, also in the box, prove the ordering's instance exactly.
+    """
     n, p = spec.n, spec.p
     box = [(prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)]
     box += [(_prefix(n, left), 3) for left in range(n)]
     for prefix, e in box:
         budget.checkpoint()
-        lhs = bracket(n, prefix + (e + n,), p)
-        rhs = recursion_rhs(n, prefix, e, p)
-        budget.guard(lhs, rhs)
-        if lhs != rhs:
-            return _compare(lhs, rhs)
+        ordered = tuple(sorted(prefix))
+        if prefix == ordered:
+            pairs = [(bracket(n, prefix + (e + n,), p), recursion_rhs(n, prefix, e, p))]
+        else:
+            sign = _sign_unit(sum(a > b for a, b in combinations(prefix, 2)), p)
+            pairs = ((bracket(n, prefix + (k,), p),
+                      poly_scale(bracket(n, ordered + (k,), p), sign))
+                     for k in range(e, e + n + 1))
+        for lhs, rhs in pairs:
+            budget.guard(lhs, rhs)
+            if lhs != rhs:
+                return _compare(lhs, rhs)
     return True, False, None
 
 

@@ -62,27 +62,65 @@ class TestGridCases:
         assert a == b
 
     def test_recursion_is_exhaustive_and_seed_free(self, monkeypatch):
-        # the (2,3) case checks each (prefix, e) of the box once: prefix
-        # entries 0..3, e <= 2, 48 instances; and the e = 3 instances of the
-        # prefixes 0..2 with one entry left out, which R_coef and P_coef use
-        # at i = n + 4
-        checked = []
+        # the (2,3) box: prefix entries 0..3 and e <= 2, 48 instances, and
+        # the e = 3 instances of the prefixes 0..2 with one entry left out,
+        # which R_coef and P_coef use at i = n + 4.  Each nondecreasing
+        # prefix has its own recursion sum, 10 * 3 + 3 = 33; every other
+        # ordering has its n + 1 rows [prefix, k], k = e..e+3, compared with
+        # its sorted prefix's rows
+        sums, rows = [], []
 
-        def spy(n, prefix, e, p):
-            checked.append((n, prefix, e, p))
+        def spy_sum(n, prefix, e, p):
+            sums.append((prefix, e))
             return recursion_rhs(n, prefix, e, p)
 
-        monkeypatch.setattr(verify, "recursion_rhs", spy)
+        def spy_row(n, es, p):
+            rows.append(es)
+            return invariants.bracket(n, es, p)
+
+        monkeypatch.setattr(verify, "recursion_rhs", spy_sum)
+        monkeypatch.setattr(verify, "bracket", spy_row)
         assert run_case(CaseSpec(theorem="recursion", p=2, n=3)).passed
-        box = [(3, (a, b), e, 2) for a in range(4) for b in range(4) for e in range(3)]
-        box += [(3, prefix, 3, 2) for prefix in ((0, 1), (0, 2), (1, 2))]
-        assert sorted(checked) == sorted(box)
+        box = [((a, b), e) for a in range(4) for b in range(4) for e in range(3)]
+        box += [(prefix, 3) for prefix in ((1, 2), (0, 2), (0, 1))]
+        assert sums == [(prefix, e) for prefix, e in box if prefix[0] <= prefix[1]]
+        assert len(sums) == 33
+        want = []
+        for prefix, e in box:
+            if prefix[0] <= prefix[1]:
+                want.append(prefix + (e + 3,))
+            else:
+                for k in range(e, e + 4):
+                    want += [prefix + (k,), prefix[::-1] + (k,)]
+        assert rows == want
         # no case depends on the seed
         a, b = (strip_timing(report_to_dict(run_grid(GridConfig(
             theorems=("recursion", "hilbert"), pairs=((2, 3), (3, 2)), d_max=8,
             seed=seed)))) for seed in (1, 2))
         assert (a.pop("seed"), b.pop("seed")) == (1, 2)
         assert a == b
+
+    # p = 3 on purpose: at p = 2 the sign of an ordering is 1 mod 2, so a
+    # negated row there still equals its sorted row and the (2,3) case, the
+    # default grid's only one with n >= 3, would pass.
+    def test_recursion_fails_on_one_negated_ordering_row(self, monkeypatch):
+        def negated(n, es, p):
+            row = invariants.bracket(n, es, p)
+            return -row if es == (1, 0, 2) else row
+
+        monkeypatch.setattr(verify, "bracket", negated)
+        result = run_case(CaseSpec(theorem="recursion", p=3, n=3))
+        assert not result.passed and not result.skipped
+        assert result.witness == "x1^9*x2^3*x3"
+
+    def test_recursion_fails_on_one_wrong_sorted_sum(self, monkeypatch):
+        def scaled(n, prefix, e, p):
+            rhs = recursion_rhs(n, prefix, e, p)
+            return poly_scale(rhs, 2) if (prefix, e) == ((0, 2), 1) else rhs
+
+        monkeypatch.setattr(verify, "recursion_rhs", scaled)
+        result = run_case(CaseSpec(theorem="recursion", p=3, n=3))
+        assert not result.passed and not result.skipped
 
     def test_scope_filters(self):
         cases = grid_cases(GridConfig(
