@@ -11,16 +11,16 @@ reverse lexicographic: compare total degree first, and break ties by the
 *last* position where the exponents differ, smaller exponent wins.
 
 Exponent tuples are the only stored form of a monomial.  Every product
-goes through one kernel, poly_dot, which sums c * f * g over a list of
-triples (poly_mul is its one-product call).  Inside it each monomial is
-packed into one Python int, with one bit field per variable, sized from
-all the operands so that no field can carry into the next; multiplying two
-monomials is then one integer addition, and every product of the sum adds
-into one accumulator, so a sum that cancels is never built in full
-(packed exponent vectors, after Monagan and Pearce, Sparse polynomial
+goes through one kernel, poly_dot, which sums c * f * g**(p**e) over terms
+(c, f, g, e) (poly_mul and frobenius are its one-product and one-operand
+calls).  Inside it each monomial is packed into one Python int, with one
+bit field per variable, sized from all the operands so that no field can
+carry into the next; multiplying two monomials is then one integer
+addition, and every product of the sum adds into one accumulator (packed
+exponent vectors, after Monagan and Pearce, Sparse polynomial
 multiplication and division in Maple 14, 2009).  Packing never leaves that
-function, which is also the one place that asks the case budget
-(case_budget) about a product and checks its deadline.
+function, which is also the one place that scales exponents by p**e, asks
+the case budget (case_budget) about a product and checks its deadline.
 
 Also here: binomial coefficients mod p by Lucas' theorem, shared by the
 reduced powers and the invariant-dimension oracle.
@@ -43,8 +43,8 @@ EXPONENT_LIMIT = 2 ** 63
 
 # The budget of the verification case being run, or None.  poly_dot calls
 # its before_product(f_terms, g_terms) about every product before forming
-# any, and its checkpoint() once per row of each product; either raises to
-# stop the case.
+# any, and its checkpoint() once per row of each product; a bracket calls
+# its before_terms(count) before it builds its terms.  Each may raise.
 case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 
@@ -266,30 +266,32 @@ def poly_scale(f: Poly, c: int) -> Poly:
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
     """The product f * g: the one-product call of poly_dot."""
-    return poly_dot(((1, f, g),), f.n, f.p)
+    return poly_dot(((1, f, g, 0),), f.n, f.p)
 
 
-def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly:
-    """The sum of c * f * g over the (c, f, g) triples, all in the ring
-    F_p[x1..xn]; zero for no triples.
+def poly_dot(products: Iterable[Tuple[int, Poly, Poly, int]], n: int, p: int) -> Poly:
+    """The sum of c * f * g**(p**e) over the terms (c, f, g, e), e >= 0,
+    all in the ring F_p[x1..xn]; zero for no terms.
 
-    One product with a single-term operand just shifts the other operand's
-    monomials.  Otherwise every monomial is packed into one int, in one
-    layout shared by all the products: variable j gets a bit field as wide
-    as the largest xj exponent any of the products can hold, so no field
-    carries and a monomial product is one integer addition.  The raw
-    coefficient products of every triple add into one accumulator keyed by
-    packed monomial, which is reduced mod p once at the end, and only the
-    surviving terms are unpacked: a sum that cancels down to a few terms
-    never builds its products in full.
+    g**(p**e) is read, never copied: over F_p it is g with its exponents
+    multiplied by p**e (Fermat), a multiplier that stays with g when the
+    smaller operand is put first.  One product with a single-term operand
+    just shifts the other operand's monomials.  Otherwise every monomial is
+    packed into one int, in one layout shared by all the products: variable
+    j gets a bit field as wide as the largest xj exponent any of the
+    products can hold, so no field carries and a monomial product is one
+    integer addition.  The raw coefficient products of every term add into
+    one accumulator keyed by packed monomial, which is reduced mod p once
+    at the end, and only the surviving terms are unpacked: a sum that
+    cancels down to a few terms never builds its products in full.
 
     The case budget, if set, is asked about every nonzero product, in the
-    order given, before any is formed, and its deadline is checked once per
-    row of the outer loop.
+    order given and by the operands' own term counts, before any is formed,
+    and its deadline is checked once per row of the outer loop.
     """
     budget = case_budget.get()
     work = []
-    for c, f, g in products:
+    for c, f, g, e in products:
         if f.n != n or f.p != p or g.n != n or g.p != p:
             raise ShapeError(
                 f"ring mismatch: (n={f.n}, p={f.p}) * (n={g.n}, p={g.p}) in (n={n}, p={p})"
@@ -298,31 +300,32 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
         if c and f.terms and g.terms:
             if budget is not None:
                 budget.before_product(len(f.terms), len(g.terms))
+            fq, gq = 1, p ** e
             if len(f.terms) > len(g.terms):
-                f, g = g, f
-            work.append((c, f, g))
+                f, fq, g, gq = g, gq, f, fq
+            work.append((c, f, fq, g, gq))
     if not work:
         return Poly._make(n, p, {})
     if len(work) == 1 and len(work[0][1].terms) == 1:
-        [(c, f, g)] = work
+        [(c, f, fq, g, gq)] = work
         [(m1, c1)] = f.terms.items()
-        if sum(m1) + g.degree() >= EXPONENT_LIMIT:
+        if sum(m1) * fq + g.degree() * gq >= EXPONENT_LIMIT:
             raise OverflowError("product degree would exceed 2**63")
-        c1 = c1 * c % p
+        c1, m1 = c1 * c % p, [a * fq for a in m1]
         return Poly._make(n, p, {
-            tuple(a + b for a, b in zip(m1, m2)): c1 * c2 % p for m2, c2 in g.terms.items()
+            tuple(a + b * gq for a, b in zip(m1, m2)): c1 * c2 % p for m2, c2 in g.terms.items()
         })
     columns = []
     tops = [0] * n  # the largest exponent of each variable in any product
-    for c, f, g in work:
+    for c, f, fq, g, gq in work:
         fcols, gcols = list(zip(*f.terms)), list(zip(*g.terms))
-        fmax, gmax = list(map(max, fcols)), list(map(max, gcols))
+        fmax, gmax = [max(a) * fq for a in fcols], [max(b) * gq for b in gcols]
         # the column maxima bound the degree; the exact one is read only near the limit
         if (sum(fmax) + sum(gmax) >= EXPONENT_LIMIT
-                and f.degree() + g.degree() >= EXPONENT_LIMIT):
+                and f.degree() * fq + g.degree() * gq >= EXPONENT_LIMIT):
             raise OverflowError("product degree would exceed 2**63")
         tops = [max(t, a + b) for t, a, b in zip(tops, fmax, gmax)]
-        columns.append((c, fcols, f.terms.values(), gcols, g.terms.values()))
+        columns.append((c, fcols, fq, f.terms.values(), gcols, gq, g.terms.values()))
     fields = []
     shift = 0
     for top in tops:
@@ -331,9 +334,9 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
         shift += width
     acc: Dict[int, int] = {}
     get = acc.get
-    for c, fcols, fcoeffs, gcols, gcoeffs in columns:
-        gp = list(zip(_pack(gcols, fields), gcoeffs))
-        for k1, c1 in zip(_pack(fcols, fields), fcoeffs):
+    for c, fcols, fq, fcoeffs, gcols, gq, gcoeffs in columns:
+        gp = list(zip(_pack(gcols, fields, gq), gcoeffs))
+        for k1, c1 in zip(_pack(fcols, fields, fq), fcoeffs):
             if budget is not None:
                 budget.checkpoint()
             c1 *= c
@@ -354,30 +357,21 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly]], n: int, p: int) -> Poly
     return Poly._make(n, p, dict(zip(zip(*cols), coeffs)))
 
 
-def _pack(cols: List[Tuple[int, ...]], fields: List[Tuple[int, int]]) -> List[int]:
-    """The packed keys of the monomials whose exponent columns are cols,
-    variable j shifted into fields[j]; the first field starts at bit 0."""
+def _pack(cols: List[Tuple[int, ...]], fields: List[Tuple[int, int]], q: int) -> List[int]:
+    """The packed keys, times q, of the monomials whose exponent columns are
+    cols: variable j in fields[j], sized for its exponents times q."""
     keys = list(cols[0])
     for col, (shift, mask) in zip(cols[1:], fields[1:]):
         if mask:
             keys = [k + (a << shift) for k, a in zip(keys, col)]
-    return keys
+    return keys if q == 1 else [k * q for k in keys]
 
 
 def frobenius(f: Poly, e: int) -> Poly:
-    """f raised to the p**e power, done by scaling exponents.
-
-    Over F_p the Frobenius x -> x**p is additive and fixes coefficients
-    (Fermat), so f**(p**e) just multiplies every exponent by p**e.
-    """
+    """f**(p**e): the one-operand call of poly_dot, which scales exponents."""
     if e < 0:
         raise ValueError(f"Frobenius iterate must be nonneg, got {e}")
-    if e == 0 or not f.terms:
-        return f
-    q = f.p ** e
-    if f.degree() * q >= EXPONENT_LIMIT:
-        raise OverflowError("Frobenius image degree would exceed 2**63")
-    return Poly._make(f.n, f.p, {tuple(a * q for a in m): c for m, c in f.terms.items()})
+    return poly_dot(((1, poly_one(f.n, f.p), f, e),), f.n, f.p)
 
 
 def poly_pow(f: Poly, k: int) -> Poly:

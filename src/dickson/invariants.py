@@ -31,11 +31,10 @@ from .fp_poly import (
     Monomial,
     Poly,
     binom_mod_p,
-    frobenius,
-    poly_add,
+    case_budget,
     poly_const,
     poly_dot,
-    poly_mul,
+    poly_mul,  # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
     poly_one,
     poly_pow,
     poly_var,
@@ -77,7 +76,8 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
     Otherwise the rows are distinct powers of p, the n! terms of the
     Leibniz expansion (_signed_permutations) are distinct monomials, and
     each is +-1: variable j gets exponent p**e_sigma(j) with the sign of
-    sigma.  Swapping two entries negates the result.
+    sigma.  Swapping two entries negates the result.  The case budget, if
+    set, is asked about the n! terms before any is built.
     """
     require_prime(p)
     es = tuple(es)
@@ -95,6 +95,8 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
         raise OverflowError("bracket degree would exceed 2**63")
     if len(set(es)) < n:
         return poly_zero(n, p)
+    if (budget := case_budget.get()) is not None:
+        budget.before_terms(math.factorial(n))
     return Poly._make(n, p, {
         tuple([powers[row] for row in sigma]): p - 1 if odd else 1
         for sigma, odd in _signed_permutations(n)
@@ -144,15 +146,15 @@ def _dickson_row(n: int, p: int) -> Tuple[Poly, ...]:
 
     Every level lives in the n-variable ring.
     """
-    q = [poly_one(n, p)]  # Q_{k,0}, .., Q_{k,k} at level k, from k = 0
+    one = poly_one(n, p)
+    q = [one]  # Q_{k,0}, .., Q_{k,k} at level k, from k = 0
     for k in range(1, n + 1):
         x = poly_var(k, n, p)
-        v = poly_dot([(_sign_unit(k - 1 - t, p), q_t, frobenius(x, t))
-                      for t, q_t in enumerate(q)], n, p)
+        v = poly_dot([(_sign_unit(k - 1 - t, p), q_t, x, t) for t, q_t in enumerate(q)], n, p)
         v = poly_pow(v, p - 1)
         lower = [poly_zero(n, p)] + q  # Q_{k-1,t-1} at index t
-        q = [poly_add(frobenius(lower[t], 1), poly_mul(v, q[t])) for t in range(k)]
-        q.append(poly_one(n, p))
+        q = [poly_dot([(1, one, lower[t], 1), (1, v, q[t], 0)], n, p) for t in range(k)]
+        q.append(one)
     return tuple(q[:n])
 
 
@@ -187,13 +189,14 @@ def _recursion_sum(n: int, e: int, p: int, lows: List[Poly],
     The one step of the length-n bracket recursion, shared by the bracket
     side (recursion_rhs, base(t) = Q_{n,t}) and its quotients by L_n
     (_quotient, base(t) = Q_{n,t} in x or y_t in Dickson coordinates).
-    base(t) is built only for a nonzero lows[t].  The products add in one
-    poly_dot, so none is built in full: on the bracket side the sum cancels
-    down to an n!-term bracket.  The certificate of the main theorem
+    base(t) is built only for a nonzero lows[t], and poly_dot reads its
+    Frobenius image without a copy.  The products add in one poly_dot, so
+    none is built in full: on the bracket side the sum cancels down to an
+    n!-term bracket.  The certificate of the main theorem
     (verify._step_holds) writes the y-side sum again on its own, so that a
     wiring fault here fails a check.
     """
-    return poly_dot([(_sign_unit(n + t - 1, p), low, frobenius(base(t), e))
+    return poly_dot([(_sign_unit(n + t - 1, p), low, base(t), e)
                      for t, low in enumerate(lows) if low.terms], n, p)
 
 

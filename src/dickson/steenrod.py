@@ -146,7 +146,7 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
         raise ValueError(f"s = {s} outside 0..{n - 1}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    return poly_dot([(_sign_unit(n, p), bracket(n, _prefix(n, s) + (i,), p), _L_pow(n, p))],
+    return poly_dot([(_sign_unit(n, p), bracket(n, _prefix(n, s) + (i,), p), _L_pow(n, p), 0)],
                     n, p)
 
 
@@ -168,14 +168,15 @@ def _main_form(n: int, s: int, p: int, R: Poly, P: Poly, sign: int) -> Poly:
     satisfies the theorem the bracketed sum is the n!-term bracket
     [0, .., s omitted, .., n-1, i]; its two products add in one poly_dot,
     so neither is built in full, and no product is wider than |R| n! or
-    |P| n! term pairs.  In the order written, R**p Q_{n,s} - P**p is built
-    in full (38,596 terms at (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0}
-    cancels it down.  Where the sum is no bracket (a wrong row), the last
-    product can be wide; poly_dot asks the case budget about it first.
+    |P| n! term pairs; R**p and P**p are read at their Frobenius power, not
+    copied, so the budget is asked with |R| and |P| first.  In the order
+    written, R**p Q_{n,s} - P**p is built in full (38,596 terms at
+    (p, n, s, i) = (3, 3, 2, 6)) before Q_{n,0} cancels it down.  Where the
+    sum is no bracket (a wrong row), the last product can be wide; poly_dot
+    asks the case budget about it first.
     """
-    inner = poly_dot([(1, frobenius(R, 1), L(n, s, p)), (sign, L(n, n, p), frobenius(P, 1))],
-                     n, p)
-    return poly_dot([(_sign_unit(n, p), _L_pow(n, p), inner)], n, p)
+    inner = poly_dot([(1, L(n, s, p), R, 1), (sign, L(n, n, p), P, 1)], n, p)
+    return poly_dot([(_sign_unit(n, p), _L_pow(n, p), inner, 0)], n, p)
 
 
 def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
@@ -208,7 +209,7 @@ def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
     if i == s:
         return poly_scale(dickson_Q(n, 0, p), _sign_unit(s - 1, p))
     if i == n:
-        return poly_dot([(_sign_unit(n, p), dickson_Q(n, 0, p), dickson_Q(n, s, p))], n, p)
+        return poly_dot([(_sign_unit(n, p), dickson_Q(n, 0, p), dickson_Q(n, s, p), 0)], n, p)
     return poly_zero(n, p)
 
 
@@ -282,7 +283,8 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     if which == "kernel":
         if i is None:
             raise ValueError("the kernel form needs the operation index i")
-        value = poly_dot([(_sign_unit(n + 1, p), _L_pow(n, p), _P_bracket(n, i, s, p))], n, p)
+        value = poly_dot([(_sign_unit(n + 1, p), _L_pow(n, p), _P_bracket(n, i, s, p), 0)],
+                         n, p)
         return frobenius(value, 1)
     raise ValueError(f"unknown corollary {which!r}; use n+1, n+2, n+3, or kernel")
 

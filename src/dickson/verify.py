@@ -51,15 +51,14 @@ from .fp_poly import (
     Poly,
     case_budget,
     format_poly,
-    frobenius,
     grevlex_key,
     poly_add,
     poly_const,
     poly_dot,
     poly_mul,
+    poly_one,
     poly_pow,
     poly_scale,
-    poly_sub,
     poly_var,
     poly_zero,
     require_prime,
@@ -163,11 +162,13 @@ class _Budget:
         self.deadline = time.monotonic() + time_limit
 
     def guard(self, *polys: Poly) -> None:
-        for f in polys:
-            if len(f.terms) > self.term_limit:
-                raise BudgetExceeded(
-                    f"{len(f.terms)} terms exceed the budget {self.term_limit}"
-                )
+        self.before_terms(*(len(f.terms) for f in polys))
+
+    def before_terms(self, *counts: int) -> None:
+        """Stop before polynomials of these term counts past the term or time budget."""
+        for count in counts:
+            if count > self.term_limit:
+                raise BudgetExceeded(f"{count} terms exceed the budget {self.term_limit}")
         self.checkpoint()
 
     def checkpoint(self) -> None:
@@ -239,7 +240,7 @@ def _roots_hold(n: int, p: int) -> bool:
     """
     for j in range(1, n + 1):
         x = poly_var(j, n, p)
-        if poly_dot([(_sign_unit(n - t, p), dickson_Q(n, t, p), frobenius(x, t))
+        if poly_dot([(_sign_unit(n - t, p), dickson_Q(n, t, p), x, t)
                      for t in range(n + 1)], n, p).terms:
             return False
     return True
@@ -260,7 +261,7 @@ def _step_holds(n: int, left: int, j: int, p: int) -> bool:
     if not _roots_hold(n, p):
         return False
     rhs = poly_dot([(_sign_unit(n + t - 1, p), y_quotient(n, left, j - n + t, p),
-                     frobenius(poly_var(t + 1, n, p), j - n)) for t in range(n)], n, p)
+                     poly_var(t + 1, n, p), j - n) for t in range(n)], n, p)
     return y_quotient(n, left, j, p) == rhs
 
 
@@ -310,7 +311,7 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
         return "q0-power"
     X = y_quotient(n, s, i, p)
     R, P, _ = _quotient_row(n, s, i, p)
-    rhs = poly_sub(poly_mul(frobenius(R, 1), poly_var(s + 1, n, p)), frobenius(P, 1))
+    rhs = poly_dot([(1, poly_var(s + 1, n, p), R, 1), (-1, poly_one(n, p), P, 1)], n, p)
     budget.guard(X, rhs)
     return None if X == rhs else "free ring"
 
@@ -429,7 +430,7 @@ def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
     n, s, i, p = spec.n, spec.s, spec.i, spec.p
     # Q_{n,0}**(p-1) Q_{n,s} = L_n**(p(p-2)) L(n, s), as Q_{n,0} = L_n**(p-1)
     # and Q_{n,s} L_n = L(n, s).
-    base = poly_mul(frobenius(_L_pow(n, p), 1), L(n, s, p))
+    base = poly_dot([(1, L(n, s, p), _L_pow(n, p), 1)], n, p)
     budget.guard(base)
     once = st_delta(base, i)
     budget.guard(once)

@@ -21,7 +21,7 @@ def dot_spy(monkeypatch):
     def spy(products, n, p):
         products = list(products)
         result = real(products, n, p)
-        seen.pairs.extend(len(f.terms) * len(g.terms) for _, f, g in products)
+        seen.pairs.extend(len(f.terms) * len(g.terms) for _, f, g, _ in products)
         seen.widths.append(len(result.terms))
         return result
 
@@ -34,7 +34,8 @@ def dot_spy(monkeypatch):
 
 class _Refuse:
     """A case budget that records the (f_terms, g_terms) of each product it
-    is asked about in .asked, and refuses it."""
+    is asked about in .asked, and refuses it; a polynomial of known size
+    (a bracket) it lets be built."""
 
     def __init__(self):
         self.asked = []
@@ -42,6 +43,9 @@ class _Refuse:
     def before_product(self, f_terms, g_terms):
         self.asked.append((f_terms, g_terms))
         raise RuntimeError("refused")
+
+    def before_terms(self, *counts):
+        pass
 
     def checkpoint(self):
         pass

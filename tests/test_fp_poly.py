@@ -1,4 +1,5 @@
 """Core polynomial arithmetic: construction, ring laws, text form."""
+import functools
 import random
 
 import pytest
@@ -46,6 +47,11 @@ def schoolbook(f, g):
             m = tuple(a + b for a, b in zip(m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
     return Poly(f.n, f.p, out)
+
+
+def scaled(g, q):
+    """g with every exponent multiplied by q: g**q when q is a power of p."""
+    return Poly(g.n, g.p, {tuple(a * q for a in m): c for m, c in g.terms.items()})
 
 
 class TestPrimality:
@@ -214,10 +220,11 @@ class TestPackedMul:
 
 
 def dot_reference(products, n, p):
-    """sum of poly_scale(poly_mul(f, g), c), one product at a time."""
+    """sum of poly_scale(poly_mul(f, g**(p**e)), c), one product at a time,
+    g**(p**e) formed by scaling its exponents here."""
     total = poly_zero(n, p)
-    for c, f, g in products:
-        total = poly_add(total, poly_scale(poly_mul(f, g), c))
+    for c, f, g, e in products:
+        total = poly_add(total, poly_scale(poly_mul(f, scaled(g, p ** e)), c))
     return total
 
 
@@ -230,11 +237,11 @@ class TestDot:
         for _ in range(40):
             products = [(rng.randint(-p, 2 * p),
                          rand_poly(rng, n, p, max_terms=rng.choice((0, 1, 5)), max_exp=8),
-                         rand_poly(rng, n, p, max_terms=rng.choice((1, 5)), max_exp=8))
+                         rand_poly(rng, n, p, max_terms=rng.choice((1, 5)), max_exp=8), 0)
                         for _ in range(rng.randint(0, 4))]
             want = dot_reference(products, n, p)
             assert want == dot_reference(
-                [(c, schoolbook(f, g), poly_one(n, p)) for c, f, g in products], n, p)
+                [(c, schoolbook(f, g), poly_one(n, p), 0) for c, f, g, _ in products], n, p)
             assert poly_dot(products, n, p) == want
 
     def test_zero_coefficients_and_empty_operands_drop_out(self):
@@ -242,8 +249,8 @@ class TestDot:
         f = parse_poly("x1^2 + 3*x2", n, p)
         g = parse_poly("2*x1*x2 + 1", n, p)
         z = poly_zero(n, p)
-        assert poly_dot([(0, f, g), (5, f, g), (1, z, g), (3, f, z)], n, p).is_zero()
-        assert poly_dot([(0, f, g), (2, f, g), (1, z, g)], n, p) == \
+        assert poly_dot([(0, f, g, 0), (5, f, g, 0), (1, z, g, 0), (3, f, z, 0)], n, p).is_zero()
+        assert poly_dot([(0, f, g, 0), (2, f, g, 0), (1, z, g, 0)], n, p) == \
             poly_scale(schoolbook(f, g), 2)
 
     def test_single_term_operands(self):
@@ -252,22 +259,22 @@ class TestDot:
         y = parse_poly("5*x2^4", n, p)
         f = parse_poly("x1 + 6*x2^2*x3 + 2", n, p)
         # one product with a single-term operand shifts the other one
-        assert poly_dot([(4, x, f)], n, p) == poly_scale(schoolbook(x, f), 4)
-        assert poly_dot([(4, f, x)], n, p) == poly_scale(schoolbook(x, f), 4)
-        assert poly_dot([(6, x, y)], n, p) == poly_scale(schoolbook(x, y), 6)
-        products = [(1, x, f), (-1, y, f), (2, x, y)]
+        assert poly_dot([(4, x, f, 0)], n, p) == poly_scale(schoolbook(x, f), 4)
+        assert poly_dot([(4, f, x, 0)], n, p) == poly_scale(schoolbook(x, f), 4)
+        assert poly_dot([(6, x, y, 0)], n, p) == poly_scale(schoolbook(x, y), 6)
+        products = [(1, x, f, 0), (-1, y, f, 0), (2, x, y, 0)]
         assert poly_dot(products, n, p) == dot_reference(products, n, p)
 
     def test_a_sum_that_cancels_to_zero(self):
         n, p = 2, 3
         f = parse_poly("x1^2 + 2*x1*x2 + x2", n, p)
         g = parse_poly("x1 + x2^3 + 1", n, p)
-        assert poly_dot([(1, f, g), (-1, g, f)], n, p).is_zero()
-        assert poly_dot([(2, f, g), (1, f, g)], n, p).is_zero()
+        assert poly_dot([(1, f, g, 0), (-1, g, f, 0)], n, p).is_zero()
+        assert poly_dot([(2, f, g, 0), (1, f, g, 0)], n, p).is_zero()
         # (x1 + x2)(x1 - x2) + x2 * x2 = x1^2: all but one term cancels
         a, b = parse_poly("x1 + x2", n, p), parse_poly("x1 + 2*x2", n, p)
         x2 = poly_var(2, n, p)
-        assert poly_dot([(1, a, b), (1, x2, x2)], n, p).terms == {(2, 0): 1}
+        assert poly_dot([(1, a, b, 0), (1, x2, x2, 0)], n, p).terms == {(2, 0): 1}
 
     def test_products_share_one_layout(self):
         # a near-2**62 exponent in one product widens the x1 field that the
@@ -275,39 +282,115 @@ class TestDot:
         n, p = 2, 3
         big = Poly(n, p, {(BIG - 1, 0): 1, (0, 1): 2})
         small = parse_poly("x1 + x2^2 + 1", n, p)
-        products = [(1, big, small), (2, small, small), (1, small, big)]
+        products = [(1, big, small, 0), (2, small, small, 0), (1, small, big, 0)]
         assert poly_dot(products, n, p) == dot_reference(products, n, p)
 
     def test_empty_and_all_zero_sums(self):
         # the recursion hands over every nonzero low; none may be nonzero
         assert poly_dot([], 3, 5) == poly_zero(3, 5)
         z, one = poly_zero(3, 5), poly_one(3, 5)
-        assert poly_dot([(1, z, one), (2, one, z), (0, one, one)], 3, 5) == poly_zero(3, 5)
+        assert poly_dot([(1, z, one, 0), (2, one, z, 0), (0, one, one, 0)], 3, 5) == \
+            poly_zero(3, 5)
         assert poly_dot(iter([]), 1, 2) == poly_zero(1, 2)
 
     def test_mixed_rings_rejected(self):
         f2, f3 = poly_one(2, 3), poly_one(2, 5)
         with pytest.raises(ShapeError):
-            poly_dot([(1, f2, f3)], 2, 3)
+            poly_dot([(1, f2, f3, 0)], 2, 3)
         with pytest.raises(ShapeError):
-            poly_dot([(1, f2, f2), (1, poly_one(1, 3), f2)], 2, 3)
+            poly_dot([(1, f2, f2, 0), (1, poly_one(1, 3), f2, 0)], 2, 3)
         with pytest.raises(ShapeError):
-            poly_dot([(1, f2, f2)], 2, 5)
+            poly_dot([(1, f2, f2, 0)], 2, 5)
         with pytest.raises(ShapeError):
             # zero operands are checked too
-            poly_dot([(1, poly_zero(3, 3), f2)], 2, 3)
+            poly_dot([(1, poly_zero(3, 3), f2, 0)], 2, 3)
 
     def test_overflow_past_2_63(self):
         f = Poly(1, 2, {(2 ** 62,): 1})
         with pytest.raises(OverflowError):
-            poly_dot([(1, f, f)], 1, 2)
+            poly_dot([(1, f, f, 0)], 1, 2)
         g = Poly(2, 3, {(2 ** 62, 0): 1, (0, 1): 1})
         with pytest.raises(OverflowError):
-            poly_dot([(1, poly_one(2, 3), g), (1, g, g)], 2, 3)
+            poly_dot([(1, poly_one(2, 3), g, 0), (1, g, g, 0)], 2, 3)
         # the column bound passes 2**63 but the degree does not
         h = Poly(2, 3, {(BIG - 1, 0): 1, (0, BIG - 1): 1})
-        assert poly_dot([(1, h, parse_poly("x1 + x2", 2, 3))], 2, 3) == \
+        assert poly_dot([(1, h, parse_poly("x1 + x2", 2, 3), 0)], 2, 3) == \
             schoolbook(h, parse_poly("x1 + x2", 2, 3))
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 5), (2, 7)])
+    def test_frobenius_operands_match_exponents_scaled_here(self, n, p):
+        # dot_reference scales g's exponents by p**e itself; the operands
+        # come in both size orders, and single-term ones reach the shift path
+        rng = random.Random(90 + 10 * n + p)
+        for _ in range(40):
+            products = [(rng.randint(1, p - 1),
+                         rand_poly(rng, n, p, max_terms=rng.choice((1, 5)), max_exp=8),
+                         rand_poly(rng, n, p, max_terms=rng.choice((1, 5)), max_exp=8),
+                         rng.randint(0, 2))
+                        for _ in range(rng.randint(1, 3))]
+            assert poly_dot(products, n, p) == dot_reference(products, n, p)
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_the_multiplier_on_both_paths_and_both_orders(self, e):
+        n, p = 3, 3
+        q = p ** e
+        x = parse_poly("2*x1^2*x3", n, p)
+        f = parse_poly("x1 + 2*x2^2*x3 + 1", n, p)
+        g = parse_poly("x2 + x3^4", n, p)
+        # the single-term path, the multiplier on the longer operand or, once
+        # the single term is put first, on it
+        assert poly_dot([(2, x, f, e)], n, p) == poly_scale(schoolbook(x, scaled(f, q)), 2)
+        assert poly_dot([(2, f, x, e)], n, p) == poly_scale(schoolbook(f, scaled(x, q)), 2)
+        # the packed path, with and without the smaller-first swap
+        for products in ([(1, f, g, e)], [(2, g, f, e)],
+                         [(1, f, g, e), (2, g, f, e), (1, x, f, 0)]):
+            assert poly_dot(products, n, p) == dot_reference(products, n, p)
+        # and against the p**e-fold product
+        one = poly_one(n, p)
+        power = one
+        for _ in range(q):
+            power = poly_mul(power, g)
+        assert poly_dot([(1, one, g, e)], n, p) == power
+
+    def test_overflow_reads_the_scaled_degree_before_forming(self):
+        # x1**(2**62) doubles to 2**63 at p = 2, e = 1; no row is formed
+        n, p = 2, 2
+        big = Poly(n, p, {(2 ** 62, 0): 1, (0, 1): 1})
+        top = Poly(n, p, {(2 ** 62, 0): 1})
+        x2 = poly_var(2, n, p)
+        two = parse_poly("x1 + 1", n, p)
+        small = parse_poly("x1 + x2 + 1", n, p)
+
+        class NoRows:
+            def before_product(self, f_terms, g_terms):
+                pass
+
+            def checkpoint(self):
+                raise AssertionError("a product was formed")
+
+        token = case_budget.set(NoRows())
+        try:
+            for products in ([(1, x2, big, 1)],   # single term, multiplier on the other
+                             [(1, small, top, 1)],  # the multiplier moves with the single term
+                             [(1, two, big, 1)],  # packed, no swap
+                             [(1, small, big, 1)]):  # packed, the multiplier moves
+                with pytest.raises(OverflowError):
+                    poly_dot(products, n, p)
+        finally:
+            case_budget.reset(token)
+        # just below the limit: x1**(2**63 - 2) * x2
+        near = Poly(n, p, {(2 ** 62 - 1, 0): 1})
+        assert poly_dot([(1, x2, near, 1)], n, p).terms == {(2 ** 63 - 2, 1): 1}
+        assert poly_dot([(1, near, two, 1)], n, p) == schoolbook(near, scaled(two, 2))
+
+    def test_asks_the_case_budget_by_the_operands_own_term_counts(self, refused):
+        # a Frobenius image has the terms of its operand, and frobenius is a
+        # kernel call like any product
+        f = parse_poly("x1 + x2 + 1", 2, 3)
+        g = parse_poly("x1^2 + x2", 2, 3)
+        assert refused(poly_dot, [(1, f, g, 2)], 2, 3) == [(3, 2)]
+        assert refused(poly_dot, [(1, g, f, 1)], 2, 3) == [(2, 3)]
+        assert refused(frobenius, f, 1) == [(1, 3)]
 
     def test_asks_the_case_budget_about_every_product_before_forming_any(self):
         # in the order given, before the smaller operand is put first; a
@@ -316,7 +399,8 @@ class TestDot:
         n, p = 2, 5
         big = parse_poly("x1^3 + x1*x2 + x2^2 + 1", n, p)
         small = parse_poly("x1 + x2", n, p)
-        products = [(0, small, small), (1, poly_zero(n, p), big), (3, big, small), (1, small, big)]
+        products = [(0, small, small, 0), (1, poly_zero(n, p), big, 0), (3, big, small, 0),
+                    (1, small, big, 0)]
         asked = []
 
         class Record:
@@ -373,7 +457,8 @@ class TestFrobeniusAndPow:
         rng = random.Random(p)
         for _ in range(20):
             f = rand_poly(rng, 2, p, max_exp=3)
-            assert frobenius(f, 1) == poly_pow(f, p)
+            assert frobenius(f, 1) == poly_pow(f, p) == scaled(f, p)
+            assert frobenius(f, 1) == functools.reduce(poly_mul, [f] * p, poly_one(2, p))
             assert frobenius(f, 2) == poly_pow(f, p * p)
             assert frobenius(f, 0) == f
 

@@ -134,6 +134,29 @@ class TestBracket:
         with pytest.raises(OverflowError):
             bracket(1, (70,), 3)
 
+    def test_asks_the_case_budget_before_building(self, monkeypatch):
+        # the n! terms are asked about before the permutations are read; a
+        # zero bracket (a repeated row) builds no term and asks nothing
+        asked = []
+
+        class Refuse:
+            def before_terms(self, *counts):
+                asked.append(counts)
+                raise RuntimeError("refused")
+
+        def unread(n):
+            raise AssertionError("the permutations were read before the ask")
+
+        monkeypatch.setattr(invariants, "_signed_permutations", unread)
+        token = fp_poly.case_budget.set(Refuse())
+        try:
+            with pytest.raises(RuntimeError, match="refused"):
+                bracket.__wrapped__(5, (0, 1, 2, 3, 7), 3)
+            assert bracket.__wrapped__(5, (0, 1, 2, 3, 3), 3).is_zero()
+        finally:
+            fp_poly.case_budget.reset(token)
+        assert asked == [(120,)]
+
     def test_l_series(self):
         assert L(2, 2, 2) == bracket(2, (0, 1), 2)
         assert L(2, 0, 3) == bracket(2, (1, 2), 3)

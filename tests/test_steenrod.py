@@ -17,7 +17,7 @@ from dickson.fp_poly import (
     poly_zero,
     Poly,
 )
-from dickson import verify
+from dickson import fp_poly, steenrod, verify
 from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
     _main_form,
@@ -371,6 +371,21 @@ class TestCorollaryForms:
             result = verify.run_case(verify.CaseSpec("kernel", p, n, s, 1))
             assert result.passed and not result.skipped
             assert seen[0] == poly_mul(poly_pow(dickson_Q(n, 0, p), p - 1), dickson_Q(n, s, p))
+
+    def test_main_form_asks_about_R_before_any_copy(self, monkeypatch, refused):
+        # R**p is read by the kernel at its Frobenius power: the budget is
+        # asked about L(3, 2) by |R| before anything is formed or copied
+        R, P = R_coef(3, 7, 3), P_coef(3, 7, 2, 3)
+        copies = []
+
+        def spy(f, e):
+            copies.append(len(f.terms))
+            return frobenius(f, e)
+
+        monkeypatch.setattr(steenrod, "frobenius", spy)
+        monkeypatch.setattr(fp_poly, "frobenius", spy)
+        assert refused(_main_form, 3, 2, 3, R, P, -1) == [(6, len(R.terms))]
+        assert copies == []
 
     def test_main_route_products_stay_narrow(self, dot_spy):
         # With R and P warm, the main route at (p, n, s, i) = (3, 3, 2, 6)

@@ -246,6 +246,26 @@ class TestRunCase:
         assert dot_spy.pairs and max(dot_spy.pairs) <= 1000
         assert case_budget.get() is None
 
+    def test_main_form_skips_on_R_by_its_own_term_count(self):
+        # routes-agree at (3,2,0,12): R_coef(2, 12, 3) has 88,573 terms and
+        # its recursion products stay under 150,000 term pairs; the main
+        # form's product of L(2, 0) by R**p is refused before R**p is formed
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=0, i=12), term_budget=150_000)
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "a product of 2 by 88573 terms exceeds the budget 150000"
+
+    def test_a_bracket_stops_before_its_terms(self, monkeypatch):
+        # kernel at (2, 8) starts from L(8, 0), 8! = 40,320 terms, refused
+        # before the permutations behind them are enumerated
+        def unread(n):
+            raise AssertionError("the permutations were read before the ask")
+
+        monkeypatch.setattr(invariants, "_signed_permutations", unread)
+        r = run_case(CaseSpec("kernel", 2, 8, s=0, i=1), term_budget=10_000)
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "40320 terms exceed the budget 10000"
+        assert case_budget.get() is None
+
     def test_out_of_memory_skips(self, monkeypatch):
         def exhausted(n, s, p):
             raise MemoryError()

@@ -47,6 +47,25 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # the Frobenius multiplier of the product kernel (poly_dot)
+    Mutant("the multiplier dropped on the single-term path", "fp_poly.py",
+           "tuple(a + b * gq for a, b in zip(m1, m2))",
+           "tuple(a + b for a, b in zip(m1, m2))",
+           {"failed": {"main": 24, "routes-agree": 8, "cor-n2": 9, "cor-n3": 9, "kernel": 24,
+                       "recursion": 2}}),
+    Mutant("the multiplier left behind by the smaller-first swap", "fp_poly.py",
+           "f, fq, g, gq = g, gq, f, fq",
+           "f, g = g, f",
+           {"failed": {"main": 51, "det-formula": 21, "routes-agree": 42, "smith-switzer": 9,
+                       "cor-n1": 9, "cor-n2": 9, "cor-n3": 9, "kernel": 12, "invariance": 3,
+                       "recursion": 1, "q0-power": 1}}),
+    Mutant("the packed path ignoring the multiplier", "fp_poly.py",
+           "return keys if q == 1 else [k * q for k in keys]",
+           "return keys",
+           {"failed": {"main": 67, "det-formula": 57, "routes-agree": 57, "smith-switzer": 21,
+                       "cor-n1": 11, "cor-n2": 11, "cor-n3": 11, "kernel": 18, "invariance": 9,
+                       "recursion": 4, "q0-power": 4},
+            "sign_flag": 0}),
     # Dickson's recursion (_dickson_row, dickson_Q)
     Mutant("V_k: the t = 0 term with the wrong sign", "invariants.py",
            "poly_dot([(_sign_unit(k - 1 - t, p), q_t,",
@@ -56,8 +75,8 @@ MUTANTS = [
                        "q0-power": 2},
             "sign_flag": 0}),
     Mutant("no Frobenius on Q_{k-1,t-1}", "invariants.py",
-           "poly_add(frobenius(lower[t], 1), poly_mul(v, q[t]))",
-           "poly_add(lower[t], poly_mul(v, q[t]))",
+           "poly_dot([(1, one, lower[t], 1), (1, v, q[t], 0)], n, p)",
+           "poly_dot([(1, one, lower[t], 0), (1, v, q[t], 0)], n, p)",
            {"failed": {"main": 54, "det-formula": 39, "routes-agree": 51, "smith-switzer": 15,
                        "cor-n1": 9, "cor-n2": 9, "cor-n3": 9, "invariance": 6, "recursion": 4,
                        "q0-power": 1},
@@ -111,8 +130,8 @@ MUTANTS = [
            {"crash": True}),
     # the certificate of the main theorem
     Mutant("the P-term of link 4 added", "verify.py",
-           "rhs = poly_sub(poly_mul(frobenius(R, 1), poly_var(s + 1, n, p)), frobenius(P, 1))",
-           "rhs = poly_add(poly_mul(frobenius(R, 1), poly_var(s + 1, n, p)), frobenius(P, 1))",
+           "(-1, poly_one(n, p), P, 1)], n, p)",
+           "(1, poly_one(n, p), P, 1)], n, p)",
            {"failed": {"main": 10, "cor-n1": 2, "cor-n2": 2, "cor-n3": 2}}),
     Mutant("the top step of the induction dropped", "verify.py",
            "while j < top and _step_holds(",
@@ -124,8 +143,8 @@ MUTANTS = [
            "if poly_dot([(_sign_unit(n - t + (t == 0), p), dickson_Q(n, t, p),",
            {"failed": {"main": 25, "cor-n1": 5, "cor-n2": 5, "cor-n3": 5}}),
     Mutant("the y-recursion of link 2 with Frobenius index j - n + 1", "verify.py",
-           "frobenius(poly_var(t + 1, n, p), j - n)) for t in range(n)], n, p)",
-           "frobenius(poly_var(t + 1, n, p), j - n + 1)) for t in range(n)], n, p)",
+           "poly_var(t + 1, n, p), j - n) for t in range(n)], n, p)",
+           "poly_var(t + 1, n, p), j - n + 1) for t in range(n)], n, p)",
            {"failed": {"main": 55, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
     Mutant("the flag witness read as (p - 1) lead", "verify.py",
            "top = tuple(p * a - b for a, b in",
