@@ -15,22 +15,23 @@ coordinate systems, so that nothing is divided: in x, through Q_{n,t},
 they are P_coef and R_coef, which appear in closed forms for the primitive
 Steenrod operations; in Dickson coordinates, through y_t = Q_{n,t}, they
 are y_quotient; and exact GL(n, F_p) machinery (the three generators,
-each given by its action on F_p[x1..xn], invariance tests, dimension counts
-by degree).
+each an image of a monomial applied by fp_poly's term map _act, T's read
+off fp_poly's Lucas rows; invariance tests; dimension counts by degree).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
 from itertools import accumulate, permutations
-from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
+    _act,
     _add_into,
+    _lucas_row,
     Monomial,
     Poly,
-    binom_mod_p,
     case_budget,
     poly_const,
     poly_dot,
@@ -43,8 +44,6 @@ from .fp_poly import (
 )
 
 ESeq = Tuple[int, ...]
-# The terms (monomial, coefficient) of the image of a monomial, of (m, p).
-_TermMap = Callable[[Monomial, int], Iterable[Tuple[Monomial, int]]]
 
 DIMENSION_BOUND = 5000
 
@@ -322,12 +321,6 @@ def _least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")
 
 
-@lru_cache(maxsize=None)
-def _lucas_row(b: int, p: int) -> Tuple[Tuple[int, int], ...]:
-    """The nonzero (k, C(b, k) mod p) for k in 1..b, by Lucas' theorem."""
-    return tuple((k, c) for k in range(1, b + 1) if (c := binom_mod_p(b, k, p)))
-
-
 def _transvection_image(m: Monomial, p: int) -> Iterator[Tuple[Monomial, int]]:
     """The terms of (T - I) m, T = I + E_12 sending x2 to x1 + x2:
     x1**a x2**b r -> sum over k >= 1 of C(b, k) x1**(a+k) x2**(b-k) r."""
@@ -340,15 +333,6 @@ def _rotate(m: Monomial) -> Monomial:
     """The cycle C on a monomial: C sends xj to x(j-1) and x1 to xn, so the
     exponent of x(j+1) moves to xj."""
     return m[1:] + m[:1]
-
-
-def _act(f: Poly, image: _TermMap) -> Poly:
-    """The sum over the terms c m of f of c image(m, p), where image(m, p)
-    gives the terms of the image of the monomial m."""
-    out: Dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        _add_into(out, image(m, f.p), c, f.p)
-    return Poly._make(f.n, f.p, out)
 
 
 # The generators of GL(n, F_p), each as a row (present, image): whether

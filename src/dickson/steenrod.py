@@ -5,7 +5,8 @@ Sq^k when p = 2) is determined by P^k(xj) = xj**p for k = 1, P^0 = id,
 zero in higher k on generators, extended multiplicatively by the Cartan
 formula.  On a monomial prod xj**aj this reads off the t**k coefficient of
 prod (xj + xj**p t)**aj, so the coefficient is a product of binomials
-mod p, evaluated by Lucas' theorem.
+mod p, one entry of each exponent's Lucas row (fp_poly._lucas_row, read by
+the transvection too), summed by fp_poly's one term map, _act.
 
 The i-th primitive operation st_delta(., i) is the derivation sending each
 xj to xj**(p**i).  It raises degree by p**i - 1, kills p-th powers, and on
@@ -43,7 +44,8 @@ from .fp_poly import (
     EXPONENT_LIMIT,
     Monomial,
     Poly,
-    binom_mod_p,
+    _act,
+    _lucas_row,
     frobenius,
     poly_add,
     poly_dot,
@@ -58,52 +60,45 @@ from .invariants import (
 )
 
 
-def _bounded_compositions(caps: Tuple[int, ...], k: int) -> Iterator[Tuple[int, ...]]:
-    # All b with 0 <= b_j <= caps[j] and sum(b) = k.
-    if len(caps) == 1:
-        if 0 <= k <= caps[0]:
-            yield (k,)
+def _power_image(m: Monomial, p: int, k: int) -> Iterator[Tuple[Monomial, int]]:
+    """The terms of P^k(prod xj**aj): one entry (b_j, C(a_j, b_j)) of
+    ((0, 1),) + _lucas_row(a_j, p) per variable, the b_j summing to k, gives
+    the product of its binomials on prod xj**(a_j + (p-1) b_j).  A pick whose
+    rest of k exceeds the exponents left is dropped; where it needs all of
+    them, the rest is b = a, C(a, a) = 1, and no row is read."""
+    room = sum(m)  # the exponents from the current variable on
+    if k > room:
         return
-    head = caps[0]
-    tail = caps[1:]
-    tail_room = sum(tail)
-    lo = max(0, k - tail_room)
-    hi = min(head, k)
-    for b in range(lo, hi + 1):
-        for rest in _bounded_compositions(tail, k - b):
-            yield (b,) + rest
+    picks = [((), 1, k)]  # (monomial so far, coefficient, what is left of k)
+    for a in m:
+        room -= a
+        grown = []
+        for head, c, left in picks:
+            least = left - room  # the smallest b the later variables allow
+            for b, cb in ((a, 1),) if least == a else ((0, 1),) + _lucas_row(a, p):
+                if b > left:
+                    break
+                if b >= least:
+                    grown.append((head + (a + (p - 1) * b,), c * cb % p, left - b))
+        picks = grown
+    for mono, c, _ in picks:
+        yield mono, c
 
 
 def steenrod_P(f: Poly, k: int) -> Poly:
-    """The k-th reduced power of f (Sq^k when p = 2).
+    """The k-th reduced power of f (Sq^k when p = 2): the images of its
+    monomials (_power_image) summed by the one term map (_act).
 
-    Monomial rule: P^k(prod xj**aj) sums, over compositions b of k with
-    b_j <= a_j, the product of C(a_j, b_j) mod p times
-    prod xj**(a_j + (p-1) b_j).  P^0 is the identity; for homogeneous f of
-    degree d, P^d(f) = f**p and P^k(f) = 0 for k > d.
+    P^k(prod xj**aj) sums, over the b with b_j <= a_j summing to k, the
+    product of C(a_j, b_j) mod p times prod xj**(a_j + (p-1) b_j).  P^0 is
+    the identity; for homogeneous f of degree d, P^d(f) = f**p and
+    P^k(f) = 0 for k > d.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if k == 0:
         return f
-    p = f.p
-    out: Dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        for b in _bounded_compositions(m, k):
-            coeff = c
-            for a, bj in zip(m, b):
-                coeff = coeff * binom_mod_p(a, bj, p) % p
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            mm = tuple(a + (p - 1) * bj for a, bj in zip(m, b))
-            v = (out.get(mm, 0) + coeff) % p
-            if v:
-                out[mm] = v
-            else:
-                out.pop(mm, None)
-    return Poly._make(f.n, p, out)
+    return _act(f, lambda m, p: _power_image(m, p, k))
 
 
 def st_delta(f: Poly, i: int) -> Poly:

@@ -1,10 +1,13 @@
 """Reduced powers, primitive derivations, closed-form routes, corollary forms."""
+import itertools
 import math
 import random
 
 import pytest
 
 from dickson.fp_poly import (
+    _lucas_row,
+    binom_mod_p,
     frobenius,
     parse_poly,
     poly_add,
@@ -22,7 +25,6 @@ from dickson.invariants import L, P_coef, R_coef, _P_bracket, dickson_Q
 from dickson.steenrod import (
     _main_form,
     _read_row,
-    binom_mod_p,
     corollary_rhs,
     sign_convention_flag,
     smith_switzer_value,
@@ -52,6 +54,19 @@ def rand_homogeneous(rng, n, p, d):
     return Poly(n, p, terms)
 
 
+def reference_P(f, k):
+    """P^k(f) from its definition: over every b with b_j <= a_j summing to
+    k, prod C(a_j, b_j) times prod xj**(a_j + (p-1) b_j), binomials exact."""
+    p = f.p
+    out = {}
+    for m, c in f.terms.items():
+        for b in itertools.product(*(range(a + 1) for a in m)):
+            if sum(b) == k:
+                mm = tuple(a + (p - 1) * bj for a, bj in zip(m, b))
+                out[mm] = out.get(mm, 0) + c * math.prod(map(math.comb, m, b))
+    return Poly(f.n, p, out)
+
+
 class TestLucas:
     def test_frozen(self):
         assert binom_mod_p(10, 4, 3) == 0
@@ -75,6 +90,12 @@ class TestLucas:
         for p in (2, 3, 5, 7):
             for b in range(1, p):
                 assert binom_mod_p(p, b, p) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_row_lists_the_nonzero_binomials(self, p):
+        for b in range(p ** 3):
+            want = tuple((k, c) for k in range(1, b + 1) if (c := math.comb(b, k) % p))
+            assert _lucas_row(b, p) == want
 
 
 class TestReducedPower:
@@ -136,6 +157,30 @@ class TestReducedPower:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             steenrod_P(poly_one(1, 2), -1)
+
+    @pytest.mark.parametrize("p,n", SMALL_GRID)
+    def test_matches_the_definition(self, p, n):
+        rng = random.Random(500 + 10 * p + n)
+        fs = [rand_poly(rng, n, p, max_terms=4) for _ in range(15)]
+        for f in fs + [dickson_Q(n, s, p) for s in range(n)]:
+            d = f.degree()
+            for k in {1, 2, p, p * p, d, d + 1} - {-1}:
+                assert steenrod_P(f, k) == reference_P(f, k)
+
+
+class TestMilnorCommutator:
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (3, 3), (2, 4), (5, 3)])
+    def test_primitives_are_iterated_commutators(self, p, n):
+        # st_delta(., 1) = P^1 and st_delta(., i) = [P^(p^(i-1)), st_delta(., i-1)],
+        # the analogue of Milnor's Q_t = [P^(p^(t-1)), Q_(t-1)] (Ann. Math. 67,
+        # 1958): st_delta checked against steenrod_P.
+        for s in range(n):
+            q = dickson_Q(n, s, p)
+            assert st_delta(q, 1) == steenrod_P(q, 1)
+            for i in range(2, n + 5):
+                k = p ** (i - 1)
+                assert st_delta(q, i) == poly_sub(steenrod_P(st_delta(q, i - 1), k),
+                                                  st_delta(steenrod_P(q, k), i - 1))
 
 
 class TestPrimitiveDerivation:
@@ -263,14 +308,6 @@ class TestLowRangeTable:
             sign_convention_flag(p=3, n=1)
 
 
-def q_main_form(n, s, p, R, P, sign):
-    """The main form in the order written, on the Dickson invariants:
-    (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p)."""
-    inner = poly_add(poly_mul(frobenius(R, 1), dickson_Q(n, s, p)),
-                     poly_scale(frobenius(P, 1), sign % p))
-    return poly_scale(poly_mul(dickson_Q(n, 0, p), inner), (-1) ** n % p)
-
-
 FORM_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (2, 4)]
 
 
@@ -302,8 +339,13 @@ class TestCorollaryForms:
     def test_bracket_assembly_is_the_main_form(self, p, n):
         # _main_form multiplies by L(n, s), L_n and L_n**(p-2) where the
         # theorem reads Q_{n,s} and Q_{n,0}; both signs, so rows that do not
-        # collapse to a bracket (the n+3 row at odd p) are covered too.
+        # collapse to a bracket (the n+3 row at odd p) are covered too.  The
+        # reference is the main form in the order written, on the Dickson
+        # invariants, (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p), its two
+        # products formed once for both signs.
+        q0 = dickson_Q(n, 0, p)
         for s in range(n):
+            q0_qs = poly_mul(q0, dickson_Q(n, s, p))
             for i in range(1, n + 4):
                 R, P = R_coef(n, i, p), P_coef(n, i, s, p)
                 inputs = [(R, P)]
@@ -312,8 +354,10 @@ class TestCorollaryForms:
                     # it shares the reference.
                     inputs.append(_read_row(f"n+{i - n}", n, s, p,
                                             lambda t: dickson_Q(n, t, p))[:2])
+                r_part = poly_mul(q0_qs, frobenius(R, 1))
+                p_part = poly_mul(q0, frobenius(P, 1))
                 for sign in {1, p - 1}:  # -1 is +1 at p = 2
-                    want = q_main_form(n, s, p, R, P, sign)
+                    want = poly_scale(poly_add(r_part, poly_scale(p_part, sign)), (-1) ** n % p)
                     for rr, pp in inputs:
                         assert _main_form(n, s, p, rr, pp, sign) == want
 
