@@ -23,8 +23,10 @@ certificate breaks; its routes-agree family compares st_delta_via_main
 with the other routes in x.
 
 The second form is written once, in _main_form; the corollaries for
-i = n + 1, n + 2, n + 3 are table rows (R, P, sign) that it assembles, R
-and P tabulated in the Dickson generators.  The minus sign on the P-term
+i = n + 1, n + 2, n + 3 are table rows that it assembles.  R_{n,i} and
+P_{n,i,s} are both the quotient [0..n-1 without a-1, i-1] / L_n, at a = n
+and at a = s, so each row is one F(a), tabulated in the Dickson
+generators, and a sign: R = F(n), P = F(s).  The minus sign on the P-term
 is forced by the classical values in the range 1 <= i <= n (it is
 invisible at p = 2).  The i = n + 3 row keeps the tabulated plus sign on
 purpose, its only difference from the main form, so that the harness can
@@ -47,12 +49,11 @@ from .fp_poly import (
     _act,
     _lucas_row,
     frobenius,
-    poly_add,
     poly_dot,
-    poly_mul,
+    poly_mul,  # unused here; perfbench/test_perfbench.py checks that its tracer rebinds it
+    poly_one,
     poly_pow,
     poly_scale,
-    poly_sub,
     poly_zero,
 )
 from .invariants import (
@@ -208,42 +209,34 @@ def smith_switzer_value(n: int, s: int, i: int, p: int) -> Poly:
     return poly_zero(n, p)
 
 
-# The corollary rows (R, P, sign) for i = n + 1, n + 2, n + 3, as tabulated
-# in the Dickson invariants; q(t, e) is Q_{n,t}**(p**e), zero for t < 0.
-_Row = Tuple[Poly, Poly, int]
-
-
-def _row_n1(q: Callable[..., Poly], n: int, s: int) -> _Row:
-    return q(n - 1), q(s - 1), -1
-
-
-def _row_n2(q: Callable[..., Poly], n: int, s: int) -> _Row:
-    rr = poly_sub(poly_mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))
-    pp = poly_sub(poly_mul(q(s - 1), q(n - 1, 1)), q(s - 2, 1))
-    return rr, pp, -1
-
-
-def _row_n3(q: Callable[..., Poly], n: int, s: int) -> _Row:
-    phat = poly_sub(q(s - 3, 2), poly_mul(q(s - 2, 1), q(n - 1, 2)))
-    phat = poly_sub(phat, poly_mul(q(s - 1), q(n - 2, 2)))
-    phat = poly_add(phat, poly_mul(q(s - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
-    rhat = poly_sub(q(n - 3, 2), poly_mul(q(n - 2, 2), q(n - 1)))
-    rhat = poly_sub(rhat, poly_mul(q(n - 2, 1), q(n - 1, 2)))
-    rhat = poly_add(rhat, poly_mul(q(n - 1), poly_mul(q(n - 1, 2), q(n - 1, 1))))
+# The corollary rows for i = n + 1, n + 2, n + 3, as tabulated in the Dickson
+# invariants.  R_{n,i} and P_{n,i,s} are both [0..n-1 without a-1, i-1] / L_n,
+# at a = n and at a = s, so a row is a sign and one F(a): poly_dot terms
+# (c, f, g, e), c f g**(p**e), in q(t) = Q_{n,t} (1 at t = n, 0 for t < 0).
+_Q = Callable[[int], Poly]
+_COROLLARY_ROWS: Dict[str, Tuple[int, Callable[[_Q, int, int, int], list]]] = {
+    "n+1": (-1, lambda q, n, p, a: [(1, q(n), q(a - 1), 0)]),
+    "n+2": (-1, lambda q, n, p, a: [(1, q(a - 1), q(n - 1), 1), (-1, q(n), q(a - 2), 1)]),
     # The corollary as published adds Phat**p; the theorem subtracts it.
-    return rhat, phat, +1
+    # Q_{a-2}**p Q_{n-1}**(p**2) is read as (Q_{a-2} Q_{n-1}**p)**p, and
+    # Q_{a-1} Q_{n-1}**p Q_{n-1}**(p**2) as Q_{a-1} (Q_{n-1} Q_{n-1}**p)**p.
+    "n+3": (+1, lambda q, n, p, a: [
+        (1, q(n), q(a - 3), 2),
+        (-1, q(n), poly_dot([(1, q(a - 2), q(n - 1), 1)], n, p), 1),
+        (-1, q(a - 1), q(n - 2), 2),
+        (1, q(a - 1), poly_dot([(1, q(n - 1), q(n - 1), 1)], n, p), 1)]),
+}
 
 
-_COROLLARY_ROWS = {"n+1": _row_n1, "n+2": _row_n2, "n+3": _row_n3}
+def _read_row(which: str, n: int, s: int, p: int, base: _Q) -> Tuple[Poly, Poly, int]:
+    """(R, P, sign) of the row _COROLLARY_ROWS[which]: R = F(n), P = F(s),
+    with q(t) = base(t) for 0 <= t < n: Q_{n,t} in x, or y_t in Dickson
+    coordinates."""
+    def q(t: int) -> Poly:
+        return base(t) if 0 <= t < n else poly_one(n, p) if t == n else poly_zero(n, p)
 
-
-def _read_row(which: str, n: int, s: int, p: int, base: Callable[[int], Poly]) -> _Row:
-    """The row _COROLLARY_ROWS[which] read with q(t, e) = base(t)**(p**e),
-    zero for t < 0: base(t) is Q_{n,t} in x, or y_t in Dickson coordinates."""
-    def q(t: int, e: int = 0) -> Poly:
-        return frobenius(base(t), e) if t >= 0 else poly_zero(n, p)
-
-    return _COROLLARY_ROWS[which](q, n, s)
+    sign, F = _COROLLARY_ROWS[which]
+    return poly_dot(F(q, n, p, n), n, p), poly_dot(F(q, n, p, s), n, p), sign
 
 
 def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -> Poly:
@@ -251,15 +244,17 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
 
     which = "n+k" (k = 1, 2, 3): the main form
         (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p)
-    at the row (R, P, sign) tabulated for i = n + k:
-        n+1:  R = Q_{n,n-1},  P = Q_{n,s-1},  sign -1;
-        n+2:  R = Q_{n,n-1} Q_{n,n-1}**p - Q_{n,n-2}**p,
-              P = Q_{n,s-1} Q_{n,n-1}**p - Q_{n,s-2}**p,  sign -1;
-        n+3:  R = Rhat, P = Phat, the tabulated i = n + 3 quotients,  sign +1.
-    Each R and P equals R_coef(n, n + k) and P_coef(n, n + k, s), so the
-    rows differ from st_delta_via_main only in the n+3 sign.  It is kept as
-    tabulated: at odd primes that row disagrees with the other routes, and
-    the harness reports it rather than failing.
+    at the row tabulated for i = n + k, R = F(n) and P = F(s) with
+        n+1:  F(a) = Q_{n,a-1},  sign -1;
+        n+2:  F(a) = Q_{n,a-1} Q_{n,n-1}**p - Q_{n,a-2}**p,  sign -1;
+        n+3:  F(a) = Q_{n,a-3}**(p**2) - Q_{n,a-2}**p Q_{n,n-1}**(p**2)
+                     - Q_{n,a-1} Q_{n,n-2}**(p**2)
+                     + Q_{n,a-1} Q_{n,n-1}**p Q_{n,n-1}**(p**2),  sign +1
+    (Rhat and Phat in the paper).  Each R and P equals R_coef(n, n + k) and
+    P_coef(n, n + k, s), so the rows differ from st_delta_via_main only in
+    the n+3 sign.  It is kept as tabulated: at odd primes that row
+    disagrees with the other routes, and the harness reports it rather
+    than failing.
     which = "kernel" (needs i): the value of st_delta(Q_{n,0}**(p-1) Q_{n,s}, i),
                     namely (-1)**(n+1) (Q_{n,0} P_{n,i,s})**p, a p-th power up
                     to sign and hence killed by a second application.
@@ -269,7 +264,8 @@ def corollary_rhs(which: str, n: int, s: int, p: int, i: Optional[int] = None) -
     bracket [0, .., s-1 omitted, .., n-1, i-1] itself (_P_bracket), so it
     needs neither the quotient P_coef nor the product that would undo it.
 
-    Out-of-range Dickson indices follow the Q_{n,t} = 0 (t < 0) convention.
+    Out-of-range Dickson indices follow the conventions Q_{n,t} = 0 for
+    t < 0 and Q_{n,n} = 1.
     """
     if not 0 <= s < n:
         raise ValueError(f"s = {s} outside 0..{n - 1}")

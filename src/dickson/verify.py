@@ -322,11 +322,11 @@ _YRow = Callable[[int, int, int, int], Tuple[Poly, Poly, int]]
 
 
 def _quotient_row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
-    """The main theorem's own row: R = [0..n-2, i-1] / L_n and
-    P = [0..n-1 without s-1, i-1] / L_n (zero at s = 0) as y_quotients,
-    with the sign -1."""
-    P = y_quotient(n, s - 1, i - 1, p) if s > 0 else poly_zero(n, p)
-    return y_quotient(n, n - 1, i - 1, p), P, -1
+    """The main theorem's own row, read like the corollary rows: R = F(n)
+    and P = F(s), F(a) = [0..n-1 without a-1, i-1] / L_n as a y_quotient
+    (F(0) = 0), with the sign -1."""
+    R, P = (y_quotient(n, a - 1, i - 1, p) if a > 0 else poly_zero(n, p) for a in (n, s))
+    return R, P, -1
 
 
 def _lead(f: Poly) -> Monomial:

@@ -181,6 +181,21 @@ class TestRunCase:
         assert r.witness == "1"
 
     def test_term_budget_skips(self):
+        # with cold caches, Dickson's recursion building Q_{2,0} asks the
+        # budget about its first product
+        clear_caches()
+        try:
+            r = run_case(CaseSpec(theorem="q0-power", p=2, n=2), term_budget=1)
+        finally:
+            clear_caches()
+        assert r.skipped and not r.passed
+        assert r.skip_reason == "a product of 2 by 1 terms exceeds the budget 1"
+
+    def test_term_budget_skips_on_warm_caches(self):
+        # with Q_{2,0} and L_2 cached, the case builds nothing, and the
+        # guard on its two 2-term sides refuses it
+        invariants.dickson_Q(2, 0, 2)
+        invariants.L(2, 2, 2)
         r = run_case(CaseSpec(theorem="q0-power", p=2, n=2), term_budget=1)
         assert r.skipped and not r.passed
         assert r.skip_reason == "2 terms exceed the budget 1"
@@ -222,12 +237,13 @@ class TestRunCase:
     def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, dot_spy):
         # the same broken row read in x for the witness: its own products
         # reach 599,634 term pairs before the main form is reached, and each
-        # asks the budget first
+        # asks the budget first.  R = F(n) is read first, and its last term,
+        # Q_{3,2} (Q_{3,2} Q_{3,2}**p)**p, is the first refused
         monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
                             drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
         r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=500_000)
         assert r.skipped and not r.passed
-        assert r.skip_reason == "a product of 120 by 4759 terms exceeds the budget 500000"
+        assert r.skip_reason == "a product of 126 by 4759 terms exceeds the budget 500000"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
         assert case_budget.get() is None
 
@@ -537,20 +553,27 @@ def clear_caches():
         cached.cache_clear()
 
 
+def drop_term(row, k, in_R):
+    # the row with the k-th term of its F dropped in its R (a = n) only, or
+    # in its P (a = s < n) only
+    sign, F = row
+
+    def dropped(q, n, p, a):
+        terms = F(q, n, p, a)
+        if (a == n) == in_R:
+            del terms[k]
+        return terms
+    return sign, dropped
+
+
 def drop_first_term_of_rhat(row):
     # the n+3 row without the Q_{n,n-3}**(p**2) term of its Rhat
-    def dropped(q, n, s):
-        rr, pp, sign = row(q, n, s)
-        return fp_poly.poly_sub(rr, q(n - 3, 2)), pp, sign
-    return dropped
+    return drop_term(row, 0, in_R=True)
 
 
 def drop_last_term_of_R(row):
     # the n+2 row without the Q_{n,n-2}**p term of its R
-    def dropped(q, n, s):
-        _, pp, sign = row(q, n, s)
-        return poly_mul(q(n - 1), q(n - 1, 1)), pp, sign
-    return dropped
+    return drop_term(row, -1, in_R=True)
 
 
 class TestCorollaryCertificate:
@@ -622,6 +645,32 @@ class TestCorollaryCertificate:
             assert not c.passed and not c.skipped
             assert (False, False, c.witness) == want
             assert len(parse_poly(c.witness, c.spec.n, c.spec.p).terms) == 1
+
+
+    def test_a_dropped_P_term_past_the_default_grid_fails(self, monkeypatch):
+        # Q_{n,s-3}**(p**2), the first term of the n+3 row, enters P only at
+        # s >= 3, which the default grid (n <= 3) never reaches.  Dropped
+        # from P, it fails the row check at s = 3 alone, which runs the x
+        # route: at p = 2 that finds the witness; at p = 3 it runs past the
+        # budget (at the default budget after about 15 s, on the main form's
+        # last product, 24 by 1,233,604 term pairs), so it runs under 10**6
+        # here and the case is skipped, never passed.  s = 1 and s = 2 keep
+        # their flags.
+        calls = self.spy_x_route(monkeypatch)
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
+                            drop_term(steenrod._COROLLARY_ROWS["n+3"], 0, in_R=False))
+        got = [run_case(CaseSpec("cor-n3", 2, 4, s=s)) for s in range(4)]
+        assert [(r.passed, r.skipped, r.flagged) for r in got] == \
+            [(True, False, False)] * 3 + [(False, False, False)]
+        assert got[3].witness == "x1^72*x2^36*x3^18*x4^9"
+        got = [run_case(CaseSpec("cor-n3", 3, 4, s=s)) for s in range(3)]
+        assert [(r.passed, r.skipped, r.flagged, r.witness) for r in got] == [
+            (True, False, False, None),
+            (True, False, True, "x1^2160*x2^72*x3^24*x4^8"),
+            (True, False, True, "x1^2160*x2^72*x3^24*x4^2")]
+        r = run_case(CaseSpec("cor-n3", 3, 4, s=3), term_budget=10 ** 6)
+        assert r.skipped and not r.passed and "exceeds the budget" in r.skip_reason
+        assert calls == [("n+3", 4, 3, 2), ("n+3", 4, 3, 3)]
 
 
 class TestReports:
@@ -806,13 +855,19 @@ class TestCli:
         assert data["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
 
     def test_tiny_budget_env_skips(self, monkeypatch, capsys):
+        # with cold caches, as in a fresh process: Dickson's recursion asks
+        # the budget about its first product
         monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
-        rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
-                   "--format", "json"])
+        clear_caches()
+        try:
+            rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                       "--format", "json"])
+        finally:
+            clear_caches()
         assert rc == 0  # skipped cases do not fail the run
         data = json.loads(capsys.readouterr().out)
         assert data["summary"] == {"passed": 0, "failed": 0, "skipped": 1}
-        assert data["cases"][0]["skip_reason"] == "2 terms exceed the budget 1"
+        assert data["cases"][0]["skip_reason"] == "a product of 2 by 1 terms exceeds the budget 1"
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_a_crash_keeps_the_previous_report(self, monkeypatch, tmp_path, error):

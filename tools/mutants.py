@@ -51,7 +51,7 @@ MUTANTS = [
     Mutant("the multiplier dropped on the single-term path", "fp_poly.py",
            "tuple(a + b * gq for a, b in zip(m1, m2))",
            "tuple(a + b for a, b in zip(m1, m2))",
-           {"failed": {"main": 24, "routes-agree": 8, "cor-n2": 9, "cor-n3": 9, "kernel": 24,
+           {"failed": {"main": 24, "routes-agree": 8, "cor-n2": 8, "cor-n3": 9, "kernel": 24,
                        "recursion": 2}}),
     Mutant("the multiplier left behind by the smaller-first swap", "fp_poly.py",
            "f, fq, g, gq = g, gq, f, fq",
@@ -151,17 +151,17 @@ MUTANTS = [
            "top = tuple((p - 1) * a - b for a, b in",
            {"moved": ["cor-n3 p=3 n=2 s=1", "cor-n3 p=5 n=2 s=1"]}),
     # the corollary rows
-    Mutant("q(n-2, 1) dropped from the n+2 row's R", "steenrod.py",
-           "rr = poly_sub(poly_mul(q(n - 1), q(n - 1, 1)), q(n - 2, 1))",
-           "rr = poly_mul(q(n - 1), q(n - 1, 1))",
+    Mutant("the Q_{a-2}**p term dropped from the n+2 row", "steenrod.py",
+           "[(1, q(a - 1), q(n - 1), 1), (-1, q(n), q(a - 2), 1)]),",
+           "[(1, q(a - 1), q(n - 1), 1)]),",
            {"failed": {"cor-n2": 9}}),
-    Mutant("the first term of the n+3 row's Rhat dropped", "steenrod.py",
-           "rhat = poly_sub(q(n - 3, 2), poly_mul(",
-           "rhat = poly_sub(q(-1), poly_mul(",
+    Mutant("the Q_{a-3}**(p**2) term dropped from the n+3 row", "steenrod.py",
+           "(1, q(n), q(a - 3), 2),",
+           "(1, q(n), q(-1), 2),",
            {"failed": {"cor-n3": 3}}),
     Mutant("the n+3 row's sign set to -1", "steenrod.py",
-           "return rhat, phat, +1",
-           "return rhat, phat, -1",
+           '"n+3": (+1, lambda',
+           '"n+3": (-1, lambda',
            {"unflagged": ["cor-n3 p=3 n=2 s=1", "cor-n3 p=5 n=2 s=1"]}),
 ]
 
