@@ -17,10 +17,9 @@ independent routes:
   * st_delta_via_main: (-1)**n Q_{n,0} (R_{n,i}**p Q_{n,s} - P_{n,i,s}**p).
 
 The verification harness decides the main theorem and the corollary rows
-by a certificate in the Dickson coordinates (see dickson.verify), where
-st_delta_via_main and corollary_rhs run only to find a witness when the
-certificate breaks; its routes-agree family compares st_delta_via_main
-with the other routes in x.
+by a certificate in the Dickson coordinates (see dickson.verify), which
+builds no closed form in x; its routes-agree family compares
+st_delta_via_main with the other routes in x.
 
 The second form is written once, in _main_form; the corollaries for
 i = n + 1, n + 2, n + 3 are table rows that it assembles.  R_{n,i} and

@@ -26,9 +26,8 @@ for i = n + k, read in the y's by the reader the x side uses
 theorem's sign the case passes; with the plus sign of the cor-n3 row, at
 odd p, the composite misses the action by 2 (-1)**n Q_{n,0} P**p, whose
 leading monomial, the witness, comes from two brackets, so no composite is
-built in x.  A broken link or row fails the case, and runs the x
-comparison, with st_delta_via_main for main and corollary_rhs for a
-corollary, to find its witness.
+built in x.  A broken link or row fails the case at once, its witness
+naming the link.
 
 Reports serialize deterministically: emitting the same Report twice gives
 identical bytes, and two grid runs with the same configuration agree
@@ -333,8 +332,7 @@ def _lead(f: Poly) -> Monomial:
     return max(f.terms, key=grevlex_key)
 
 
-def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow,
-                      x_route: Callable[[int, int, int, int], Poly]) -> _Outcome:
+def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow) -> _Outcome:
     """st_delta(Q_{n,s}, i) against the main form
     (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p) at the row (R, P, sign) =
     row(n, s, i, p), decided without building the form in x.
@@ -349,10 +347,9 @@ def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow,
     grevlex is a monomial order and F_p[x] a domain, that is
     p lead(L_n P) - lead(L_n), read off two n!-term brackets.
 
-    If a link or the row fails, the case fails: the x comparison with
-    x_route(n, s, i, p) runs for its witness, or, where it finds no
-    difference, the witness names the broken link.  So only a row's sign
-    is ever flagged, and a broken certificate never passes.
+    If a link or the row fails, the case fails with the witness
+    "certificate link <link> fails", and nothing is built in x.  So only a
+    row's sign is ever flagged, and a broken certificate never passes.
     """
     n, s, p = spec.n, spec.s, spec.p
     gap = _certificate_gap(spec, budget, i)
@@ -371,27 +368,17 @@ def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow,
             return True, False, None
         top = tuple(p * a - b for a, b in zip(_lead(bracket_P), _lead(L(n, n, p))))
         return True, True, _monomial(n, p, top)
-    passed, _, witness = _case_st_delta_Q(spec, budget, i, x_route)
-    return False, False, f"certificate link {gap} fails" if passed else witness
-
-
-def _case_main(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    """The main theorem at (p, n, s, i): its own row, with st_delta_via_main
-    as the x route."""
-    return _case_closed_form(spec, budget, spec.i, _quotient_row,
-                             lambda n, s, i, p: st_delta_via_main(n, s, i, p))
+    return False, False, f"certificate link {gap} fails"
 
 
 def _case_cor(k: int) -> _Check:
     """st_delta(Q_{n,s}, n + k) against the composite tabulated for
     i = n + k: the row read in the Dickson coordinates (steenrod._read_row
-    with base(t) = y_t), and corollary_rhs, which reads it in x, as the x
-    route."""
+    with base(t) = y_t)."""
     which = f"n+{k}"
     return lambda spec, budget: _case_closed_form(
         spec, budget, spec.n + k,
-        lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)),
-        lambda n, s, i, p: corollary_rhs(which, n, s, p))
+        lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)))
 
 
 def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -503,10 +490,12 @@ class _Family(NamedTuple):
 # builders up when called, so rebinding a module-level name (to wrap or
 # trace it) reaches every check.
 _FAMILIES: Dict[str, _Family] = {
-    "main": _Family(_case_main, _each_s_i),
+    "main": _Family(
+        lambda spec, budget: _case_closed_form(spec, budget, spec.i, _quotient_row),
+        _each_s_i),
     "smith-switzer": _Family(
         lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, smith_switzer_value),
-        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, n, d_max)),
+        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n), d_max)),
     "recursion": _Family(_case_recursion, _once),
     "det-formula": _Family(
         lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_dl2),

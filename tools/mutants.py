@@ -150,6 +150,11 @@ MUTANTS = [
            "top = tuple(p * a - b for a, b in",
            "top = tuple((p - 1) * a - b for a, b in",
            {"moved": ["cor-n3 p=3 n=2 s=1", "cor-n3 p=5 n=2 s=1"]}),
+    # the main form in x, which routes-agree alone builds
+    Mutant("P read without its Frobenius power in _main_form", "steenrod.py",
+           "(sign, L(n, n, p), P, 1)",
+           "(sign, L(n, n, p), P, 0)",
+           {"failed": {"routes-agree": 20}}),
     # the corollary rows
     Mutant("the Q_{a-2}**p term dropped from the n+2 row", "steenrod.py",
            "[(1, q(a - 1), q(n - 1), 1), (-1, q(n), q(a - 2), 1)]),",
