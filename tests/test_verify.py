@@ -243,16 +243,29 @@ class TestRunCase:
         assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
         assert case_budget.get() is None
 
-    def test_a_broken_corollary_row_fails_with_its_link(self, monkeypatch):
+    def test_main_form_stops_before_a_wide_product(self, monkeypatch):
         # with the first term of the n+3 row's Rhat dropped, cor-n3 at
         # (5,3,1) fails on the row check, at the default budget: read in x,
-        # that row's main form would be a product of 54 by 171,348 terms
+        # that row's main form would end in a product of 54 by 171,348 terms
         refuse_x_route(monkeypatch)
         monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
                             drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
         r = run_case(CaseSpec("cor-n3", 5, 3, s=1))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link row R fails"
+        assert case_budget.get() is None
+
+    def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, dot_spy):
+        # the same broken row under a budget of 500,000 term pairs, which the
+        # row read in x would exceed (599,634): the case fails on its link,
+        # not skips, and no product it forms comes near the budget
+        refuse_x_route(monkeypatch)
+        monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
+                            drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
+        r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=500_000)
+        assert (r.passed, r.skipped, r.flagged) == (False, False, False)
+        assert r.witness == "certificate link row R fails"
+        assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
         assert case_budget.get() is None
 
     def test_dickson_recursion_stops_before_a_wide_product(self, dot_spy):
