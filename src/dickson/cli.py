@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--i-max", type=int, default=None, metavar="K",
-        help="largest operation index i (default: n + 4 per grid point)",
+        help="largest operation index i, at most 62 (default: n + 4 per grid point)",
     )
     parser.add_argument(
         "--d-max", type=int, default=DEFAULT_D_MAX, metavar="K",

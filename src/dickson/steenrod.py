@@ -56,7 +56,7 @@ from .fp_poly import (
     poly_zero,
 )
 from .invariants import (
-    L, P_coef, R_coef, _P_bracket, _prefix, _sign_unit, bracket, dickson_Q,
+    L, P_coef, R_coef, _P_bracket, _check_P_index, _prefix, _sign_unit, bracket, dickson_Q,
 )
 
 
@@ -137,10 +137,7 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
 
     Exact for all i >= 1 and 0 <= s < n.
     """
-    if not 0 <= s < n:
-        raise ValueError(f"s = {s} outside 0..{n - 1}")
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
+    _check_P_index(n, i, s)
     return poly_dot([(_sign_unit(n, p), bracket(n, _prefix(n, s) + (i,), p), _L_pow(n, p), 0)],
                     n, p)
 
@@ -183,10 +180,7 @@ def st_delta_via_main(n: int, s: int, i: int, p: int) -> Poly:
     sign_convention_flag); writing it with a plus makes the identity fail
     at odd primes, which the i = n + 3 corollary case demonstrates.
     """
-    if not 0 <= s < n:
-        raise ValueError(f"s = {s} outside 0..{n - 1}")
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
+    _check_P_index(n, i, s)
     return _main_form(n, s, p, R_coef(n, i, p), P_coef(n, i, s, p), -1)
 
 

@@ -5,7 +5,9 @@ Each identity is checked as an exact polynomial equality at concrete
 with a witness (the grevlex-largest monomial where the two sides differ),
 is skipped, with the reason, when a term-count, time or size limit is hit,
 or passes with a flag and a witness when a tabulated corollary row differs
-from the theorem in its sign alone (the i = n + 3 row, at odd p).
+from the theorem in its sign alone (the i = n + 3 row, at odd p).  Every
+two polynomials a check compares go through one function, _compare, which
+asks the case budget about each pair of sides before comparing it.
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
@@ -42,7 +44,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
 from .fp_poly import (
@@ -190,16 +192,18 @@ _Check = Callable[[CaseSpec, _Budget], _Outcome]
 _Coord = Tuple[Optional[int], Optional[int], Optional[int]]  # (s, i, d)
 
 
-def _compare(lhs: Poly, rhs: Poly) -> _Outcome:
-    """Pass, or fail with the witness: the grevlex-largest monomial where
-    the two sides differ."""
-    if lhs == rhs:
-        return True, False, None
-    diff = [
-        m for m in set(lhs.terms) | set(rhs.terms)
-        if lhs.terms.get(m, 0) != rhs.terms.get(m, 0)
-    ]
-    return False, False, _monomial(lhs.n, lhs.p, max(diff, key=grevlex_key))
+def _compare(budget: _Budget, pairs: Iterable[Tuple[Poly, Poly]]) -> _Outcome:
+    """Guard and compare each (lhs, rhs) pair in order: pass, or fail with
+    the witness of the first pair that differs, the grevlex-largest
+    monomial where its two sides differ.  pairs may be a generator, so a
+    pair is built only once the pairs before it agree."""
+    for lhs, rhs in pairs:
+        budget.guard(lhs, rhs)
+        if lhs != rhs:
+            diff = [m for m in set(lhs.terms) | set(rhs.terms)
+                    if lhs.terms.get(m, 0) != rhs.terms.get(m, 0)]
+            return False, False, _monomial(lhs.n, lhs.p, max(diff, key=grevlex_key))
+    return True, False, None
 
 
 def _monomial(n: int, p: int, m: Monomial) -> str:
@@ -208,19 +212,12 @@ def _monomial(n: int, p: int, m: Monomial) -> str:
 
 
 def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outcome:
-    """st_delta(Q_{n,s}, i) against each route(n, s, i, p).  Every side is
-    built and guarded before any is compared; the first route that differs
-    gives the witness."""
+    """st_delta(Q_{n,s}, i) against each route(n, s, i, p) in order.  A
+    route is built only once those before it agree, so the first that
+    differs gives the witness, whatever the later ones would cost."""
     lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), i)
     budget.guard(lhs)
-    sides = []
-    for route in routes:
-        sides.append(route(spec.n, spec.s, i, spec.p))
-        budget.guard(sides[-1])
-    for rhs in sides:
-        if rhs != lhs:
-            return _compare(lhs, rhs)
-    return True, False, None
+    return _compare(budget, ((lhs, route(spec.n, spec.s, i, spec.p)) for route in routes))
 
 
 @lru_cache(maxsize=None)
@@ -311,8 +308,7 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
     X = y_quotient(n, s, i, p)
     R, P, _ = _quotient_row(n, s, i, p)
     rhs = poly_dot([(1, poly_var(s + 1, n, p), R, 1), (-1, poly_one(n, p), P, 1)], n, p)
-    budget.guard(X, rhs)
-    return None if X == rhs else "free ring"
+    return None if _compare(budget, [(X, rhs)])[0] else "free ring"
 
 
 # A row (R, P, sign) of the main form, R and P in the Dickson coordinates,
@@ -356,9 +352,9 @@ def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow) -> _O
     if gap is None:
         R, P, sign = row(n, s, i, p)
         want_R, want_P, _ = _quotient_row(n, s, i, p)
-        if R != want_R:
+        if not _compare(budget, [(R, want_R)])[0]:
             gap = "row R"
-        elif P != want_P:
+        elif not _compare(budget, [(P, want_P)])[0]:
             gap = "row P"
     if gap is None:
         if (sign + 1) % p == 0:
@@ -381,11 +377,12 @@ def _case_cor(k: int) -> _Check:
         lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)))
 
 
-def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    """Every recursion instance [prefix, e + n] in the box (each prefix
-    entry in 0..3, e in 0..2), and at e = 3 each prefix 0..n-1 with one
-    entry left out: R_coef and P_coef divide these instances by L_n, up to
-    i = n + 4, the default top index.
+def _case_recursion(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
+    """The sides of every recursion instance [prefix, e + n] in the box
+    (each prefix entry in 0..3, e in 0..2), and at e = 3 of each prefix
+    0..n-1 with one entry left out.  From n = 6 on, those e = 3 instances
+    are the family's only nonzero ones: no n - 1 entries from 0..3 are
+    distinct, so every bracket of the box has two equal rows.
 
     A nondecreasing prefix has its instance checked as stated.  Any other
     ordering of it, with sign sgn = (-1)**(its inversions), has each row
@@ -397,20 +394,13 @@ def _case_recursion(spec: CaseSpec, budget: _Budget) -> _Outcome:
     box = [(prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)]
     box += [(_prefix(n, left), 3) for left in range(n)]
     for prefix, e in box:
-        budget.checkpoint()
         ordered = tuple(sorted(prefix))
         if prefix == ordered:
-            pairs = [(bracket(n, prefix + (e + n,), p), recursion_rhs(n, prefix, e, p))]
-        else:
-            sign = _sign_unit(sum(a > b for a, b in combinations(prefix, 2)), p)
-            pairs = ((bracket(n, prefix + (k,), p),
-                      poly_scale(bracket(n, ordered + (k,), p), sign))
-                     for k in range(e, e + n + 1))
-        for lhs, rhs in pairs:
-            budget.guard(lhs, rhs)
-            if lhs != rhs:
-                return _compare(lhs, rhs)
-    return True, False, None
+            yield bracket(n, prefix + (e + n,), p), recursion_rhs(n, prefix, e, p)
+            continue
+        sign = _sign_unit(sum(a > b for a, b in combinations(prefix, 2)), p)
+        for k in range(e, e + n + 1):
+            yield bracket(n, prefix + (k,), p), poly_scale(bracket(n, ordered + (k,), p), sign)
 
 
 def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -421,32 +411,23 @@ def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
     budget.guard(base)
     once = st_delta(base, i)
     budget.guard(once)
-    rhs = corollary_rhs("kernel", n, s, p, i=i)
-    budget.guard(rhs)
-    if once != rhs:
-        return _compare(once, rhs)
-    twice = st_delta(once, i)
-    budget.guard(twice)
-    return _compare(twice, poly_zero(n, p))
+
+    def pairs():
+        yield once, corollary_rhs("kernel", n, s, p, i=i)
+        yield st_delta(once, i), poly_zero(n, p)
+    return _compare(budget, pairs())
 
 
-def _case_invariance(spec: CaseSpec, budget: _Budget) -> _Outcome:
+def _case_invariance(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
     """Q_{n,s}, built by Dickson's recursion, is the quotient that defines
     it, Q_{n,s} L_n = L(n, s), and is fixed by every generator of GL(n, F_p),
     each image read off the terms (invariants.generator_actions).  The
     first generator whose image differs gives the witness."""
     n, s, p = spec.n, spec.s, spec.p
     f = dickson_Q(n, s, p)
-    budget.guard(f)
-    product = poly_mul(f, L(n, n, p))
-    if product != L(n, s, p):
-        return _compare(product, L(n, s, p))
+    yield poly_mul(f, L(n, n, p)), L(n, s, p)
     for act in generator_actions(n, p):
-        budget.checkpoint()
-        image = act(f)
-        if image != f:
-            return _compare(image, f)
-    return True, False, None
+        yield act(f), f
 
 
 def _case_hilbert(spec: CaseSpec, budget: _Budget) -> _Outcome:
@@ -464,8 +445,7 @@ def _case_q0_power(spec: CaseSpec, budget: _Budget) -> _Outcome:
     rhs = poly_pow(L(n, n, p), p - 1)
     if spec.perturb:
         rhs = poly_add(rhs, poly_const(1, n, p))
-    budget.guard(lhs, rhs)
-    return _compare(lhs, rhs)
+    return _compare(budget, [(lhs, rhs)])
 
 
 def _each_s(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
@@ -496,7 +476,7 @@ _FAMILIES: Dict[str, _Family] = {
     "smith-switzer": _Family(
         lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, smith_switzer_value),
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n), d_max)),
-    "recursion": _Family(_case_recursion, _once),
+    "recursion": _Family(lambda spec, budget: _compare(budget, _case_recursion(spec)), _once),
     "det-formula": _Family(
         lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_dl2),
         _each_s_i),
@@ -510,7 +490,8 @@ _FAMILIES: Dict[str, _Family] = {
     "kernel": _Family(
         _case_kernel,
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n + 3), d_max)),
-    "invariance": _Family(_case_invariance, _each_s),
+    "invariance": _Family(
+        lambda spec, budget: _compare(budget, _case_invariance(spec)), _each_s),
     "hilbert": _Family(
         _case_hilbert,
         lambda n, s_range, i_top, d_max: [(None, None, d) for d in range(d_max + 1)]),
@@ -542,8 +523,9 @@ class GridConfig:
                 raise ValueError(f"need n >= 1, got {n}")
         if any(s < 0 for s in self.s_values or ()):
             raise ValueError(f"need s >= 0, got {min(self.s_values)}")
-        if self.i_max is not None and self.i_max < 1:
-            raise ValueError(f"need i_max >= 1, got {self.i_max}")
+        # p**i passes 2**63 from i = 63 on for every prime: such a case can only skip
+        if self.i_max is not None and not 1 <= self.i_max <= 62:
+            raise ValueError(f"need 1 <= i_max <= 62, got {self.i_max}")
         if self.d_max < 0:
             raise ValueError(f"need d_max >= 0, got {self.d_max}")
         if not 0 <= self.seed < 2 ** 64:

@@ -180,6 +180,7 @@ class TestGridCases:
         dict(pairs=((2, 0),)),
         dict(s_values=(0, -1)),
         dict(i_max=0),
+        dict(i_max=63),
         dict(d_max=-1),
         dict(seed=-1),
         dict(seed=2 ** 64),
@@ -187,6 +188,10 @@ class TestGridCases:
     def test_config_rejects_on_construction(self, field):
         with pytest.raises(ValueError):
             GridConfig(**field)
+
+    def test_i_max_62_is_the_last_accepted(self):
+        # p**i < 2**63 needs i <= 62 at p = 2; from i = 63 on every case skips
+        assert GridConfig(i_max=62).i_max == 62
 
 
 class TestRunCase:
@@ -242,6 +247,38 @@ class TestRunCase:
         assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
         assert case_budget.get() is None
+
+    def test_routes_are_built_only_after_the_earlier_ones_agree(self, monkeypatch):
+        # a wrong determinant route fails routes-agree with its own witness,
+        # and the closed form in x, the second route, is never built
+        dl2 = steenrod.st_delta_via_dl2
+        monkeypatch.setattr(verify, "st_delta_via_dl2",
+                            lambda n, s, i, p: plus_one(dl2(n, s, i, p)))
+        calls = []
+        main_route = steenrod.st_delta_via_main
+        monkeypatch.setattr(verify, "st_delta_via_main",
+                            lambda *args: calls.append(args) or main_route(*args))
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=4))
+        assert (r.passed, r.skipped, r.flagged) == (False, False, False)
+        assert r.witness == "1"
+        assert calls == []
+
+    def test_a_wrong_first_route_fails_where_the_second_would_skip(self, monkeypatch):
+        # the case of test_quotient_recursion_stops_before_a_wide_product,
+        # with a wrong determinant route: it fails before st_delta_via_main
+        # reaches the product the budget refuses
+        dl2 = steenrod.st_delta_via_dl2
+        monkeypatch.setattr(verify, "st_delta_via_dl2",
+                            lambda n, s, i, p: plus_one(dl2(n, s, i, p)))
+        R_coef.cache_clear()
+        P_coef.cache_clear()
+        try:
+            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15), term_budget=10 ** 6)
+        finally:
+            R_coef.cache_clear()
+            P_coef.cache_clear()
+        assert (r.passed, r.skipped, r.flagged) == (False, False, False)
+        assert r.skip_reason is None and r.witness == "1"
 
     def test_main_form_stops_before_a_wide_product(self, monkeypatch):
         # with the first term of the n+3 row's Rhat dropped, cor-n3 at
@@ -798,6 +835,7 @@ class TestCli:
         ["--i-max", "0"],
         ["--d-max", "-1"],
         ["--s", "-2"],
+        ["--theorem", "det-formula", "--p", "2", "--n", "1", "--i-max", "63"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(SystemExit) as info:
