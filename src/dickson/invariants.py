@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import accumulate, permutations
-from typing import Callable, Dict, Iterator, List, Set, Tuple
+from itertools import permutations
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .fp_poly import (
     EXPONENT_LIMIT,
@@ -376,50 +376,55 @@ def is_invariant(f: Poly) -> bool:
     return all(act(f) == f for act in generator_actions(f.n, f.p))
 
 
-def _monomials_of_degree(n: int, d: int, step: int) -> Iterator[Monomial]:
-    # Degree-d exponent tuples whose entries are all multiples of step.
+def _sorted_exponents(n: int, d: int, step: int, top: int) -> Iterator[Monomial]:
+    """The nonincreasing n-tuples of multiples of step, each at most top,
+    that sum to d."""
     if n == 1:
-        if d % step == 0:
+        if d <= top and d % step == 0:
             yield (d,)
         return
-    for first in range(0, d + 1, step):
-        for rest in _monomials_of_degree(n - 1, d - first, step):
+    high = min(d, top)
+    for first in range(high - high % step, -1, -step):
+        if first * n < d:
+            return
+        for rest in _sorted_exponents(n - 1, d - first, step, first):
             yield (first,) + rest
-
-
-def _cyclic_orbits(n: int, d: int, step: int) -> Iterator[Set[Monomial]]:
-    """The orbits of the n-cycle (_rotate) on the monomials of
-    _monomials_of_degree; each orbit is yielded once, at its least member."""
-    for m in _monomials_of_degree(n, d, step):
-        orbit = set(accumulate(range(1, n), lambda r, _: _rotate(r), initial=m))
-        if m == min(orbit):
-            yield orbit
 
 
 def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
-    GL(n, F_p) is generated by the n-cycle C, D = diag(g, 1, .., 1) for a
-    primitive root g mod p, and, for n >= 2, the transvection T = I + E_12
-    (see generator_actions).  Exact linear algebra on a basis of the invariants
-    of <C, D>: the conjugates of D by powers of C generate the diagonal
-    torus, which scales each monomial by a character; so the invariants of
-    <C, D> are spanned by the C-orbit sums of the monomials whose exponents
-    are all multiples of p - 1 (L. Smith, Polynomial Invariants of Finite
-    Groups, 1995; Derksen and Kemper, Computational Invariant Theory,
-    2002).  At p = 2, D is the identity and every monomial counts.
+    Exact linear algebra on the orbit sums of the monomial group (L. Smith,
+    Polynomial Invariants of Finite Groups, 1995; Derksen and Kemper,
+    Computational Invariant Theory, 2002):
 
-    The GL-invariants are the kernel of T - I on that basis, T the one
-    generator that is not monomial.  Each sum over an orbit of C (_rotate)
-    gives one sparse row, its image under T - I read off Lucas binomials
-    (_transvection_image); the rows are reduced mod p against pivot rows
-    stored under their least monomial, and the dimension is the number of
-    orbits minus the rank.  At n = 1 there is no T, and every orbit sum is
-    invariant.
+    - The basis.  GL(n, F_p) is generated by the permutation matrices, the
+      diagonal torus and T = I + E_12 (see generator_actions).  The
+      invariants of the monomial group (S_n with the torus) are spanned by
+      the S_n-orbit sums m_lambda, one for each nonincreasing n-tuple
+      lambda of multiples of p - 1 summing to d (_sorted_exponents; at
+      p = 2 every entry counts).  So the GL-invariants of degree d are the
+      kernel of T - I on the span of the m_lambda, and the dimension is the
+      number of lambdas minus the rank.
+    - The columns.  The permutations of x3..xn commute with T and fix each
+      m_lambda, so (T - I) m_lambda is symmetric in x3..xn.  Its
+      coefficients at the monomials whose x3..xn exponents are
+      nonincreasing therefore determine it, and keeping only those
+      coefficients leaves the rank unchanged.
+    - The rows.  T keeps the x3..xn exponents, so those coefficients come
+      only from the orbit members that already have a sorted tail: one per
+      ordered pick (a, b) of two entries of lambda for x1 and x2, the rest
+      kept sorted.  The row of lambda is the sum of their images under
+      T - I, read off Lucas binomials (_transvection_image), at most
+      n(n - 1) of them.  The rows are reduced mod p against pivot rows
+      stored under their least monomial.
+    - n = 2.  The picks are (a, b) and (b, a), the orbit of the 2-cycle.
+      At n = 1 there is no T, and every m_lambda is invariant.
 
-    bound caps the monomials enumerated, C(d/(p-1) + n - 1, n - 1) of
-    degree d with every exponent a multiple of p - 1 (none unless p - 1
-    divides d): BoundExceeded when there are more.
+    bound caps the torus-invariant monomials of degree d, those with every
+    exponent a multiple of p - 1, C(d/(p-1) + n - 1, n - 1) of them (none
+    unless p - 1 divides d): BoundExceeded when there are more.  The count
+    does not enumerate them; it reads one row per lambda.
     """
     require_prime(p)
     if n < 1 or d < 0:
@@ -429,13 +434,18 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
         raise BoundExceeded(
             f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
         )
-    orbits = 0
+    sums = 0
     pivots: Dict[Monomial, Dict[Monomial, int]] = {}
-    for orbit in _cyclic_orbits(n, d, p - 1):
-        orbits += 1
+    for lam in _sorted_exponents(n, d, p - 1, d):
+        sums += 1
         if n < 2:
             continue
-        row = _act(Poly._make(n, p, dict.fromkeys(orbit, 1)), _transvection_image).terms
+        members: Dict[Monomial, int] = {}
+        for i, a in enumerate(lam):
+            rest = lam[:i] + lam[i + 1:]
+            for j, b in enumerate(rest):
+                members[(a, b) + rest[:j] + rest[j + 1:]] = 1
+        row = _act(Poly._make(n, p, members), _transvection_image).terms
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -444,7 +454,7 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
                 pivots[lead] = {key: c * inv % p for key, c in row.items()}
                 break
             _add_into(row, pivot.items(), -row[lead], p)
-    return orbits - len(pivots)
+    return sums - len(pivots)
 
 
 def dickson_monomial_count(n: int, p: int, d: int) -> int:

@@ -305,6 +305,16 @@ class TestDot:
             # zero operands are checked too
             poly_dot([(1, poly_zero(3, 3), f2, 0)], 2, 3)
 
+    def test_degree_limit_of_the_column_bound(self):
+        # two-term operands take the packed path, whose column bound is
+        # the first check there: degree 2**63 - 1 passes, 2**63 raises
+        f = Poly(1, 2, {(BIG,): 1, (0,): 1})
+        g = Poly(1, 2, {(BIG - 1,): 1, (0,): 1})
+        assert poly_dot([(1, f, g, 0)], 1, 2) == \
+            Poly(1, 2, {(2 ** 63 - 1,): 1, (BIG,): 1, (BIG - 1,): 1, (0,): 1})
+        with pytest.raises(OverflowError):
+            poly_dot([(1, f, f, 0)], 1, 2)
+
     def test_overflow_past_2_63(self):
         f = Poly(1, 2, {(2 ** 62,): 1})
         with pytest.raises(OverflowError):

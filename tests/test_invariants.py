@@ -134,6 +134,17 @@ class TestBracket:
         with pytest.raises(OverflowError):
             bracket(1, (70,), 3)
 
+    def test_degree_limit(self):
+        # rows of degree 1 + 1 + 1 + 4 + .. + 2**62 = 2**63 - 1 pass (a
+        # repeated row: zero); 1 + 1 + 2 + .. + 2**62 = 2**63 raises
+        assert bracket(64, (0, 0, 0) + tuple(range(2, 63)), 2) == poly_zero(64, 2)
+        with pytest.raises(OverflowError, match="bracket degree"):
+            bracket(64, (0, 0, 1) + tuple(range(2, 63)), 2)
+        # one row of degree 2**63 raises at its own check, which names it
+        assert bracket(1, (62,), 2) == Poly(1, 2, {(2 ** 62,): 1})
+        with pytest.raises(OverflowError, match=r"p\*\*63 exceeds"):
+            bracket(1, (63,), 2)
+
     def test_asks_the_case_budget_before_building(self, monkeypatch):
         # the n! terms are asked about before the permutations are read; a
         # zero bracket (a repeated row) builds no term and asks nothing
@@ -612,9 +623,10 @@ class TestDimensions:
 
     @pytest.mark.parametrize("p,n,d_max", [
         (2, 1, 10), (3, 1, 10), (2, 2, 14), (2, 3, 14), (3, 2, 14),
-        (5, 2, 14), (7, 2, 14), (3, 3, 18),
+        (5, 2, 14), (7, 2, 14), (3, 3, 18), (2, 4, 10), (2, 5, 8),
     ])
     def test_matches_joint_kernel(self, p, n, d_max):
+        # n >= 4 gives the rows a tail x3..xn of two or more entries to sort
         for d in range(d_max + 1):
             assert invariant_space_dimension(n, p, d) == joint_kernel_dimension(n, p, d), d
 

@@ -234,6 +234,13 @@ class TestPrimitiveDerivation:
             img = st_delta(f, i)
             assert img.degree() == f.degree() + p ** i - 1
 
+    def test_degree_limit(self):
+        # p**62 takes x1 x2**(2**62 - 1) to degree 2**63 - 1; p**63 raises
+        f = Poly(2, 2, {(1, 2 ** 62 - 1): 1})
+        assert st_delta(f, 62) == Poly(2, 2, {(2 ** 62, 2 ** 62 - 1): 1, (1, 2 ** 63 - 2): 1})
+        with pytest.raises(OverflowError):
+            st_delta(poly_var(1, 1, 2), 63)
+
     def test_rejects_low_index(self):
         with pytest.raises(ValueError):
             st_delta(poly_one(1, 2), 0)

@@ -503,6 +503,18 @@ class TestMainCertificate:
                     dropped if (n_, t_, p_) == (n, t, p) else real(n_, t_, p_)))
                 assert not verify._roots_hold.__wrapped__(n, p), (t, m)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_root_at_x1_is_checked(self, monkeypatch, p):
+        # Q_0 = 0 and Q_1 = x2**(p(p-1)): f(X) = X**(p**2) - x2**(p**2-p) X**p
+        # vanishes at x2 but not at x1
+        fake = (Poly(2, p, {}), Poly(2, p, {(0, p * (p - 1)): 1}), Poly(2, p, {(0, 0): 1}))
+        monkeypatch.setattr(verify, "dickson_Q", lambda n, t, p_: fake[t])
+        verify._roots_hold.cache_clear()
+        try:
+            assert not verify._roots_hold(2, p)
+        finally:
+            verify._roots_hold.cache_clear()
+
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5), (5, 3)])
     def test_the_roots_hold(self, p, n):
         assert verify._roots_hold.__wrapped__(n, p)

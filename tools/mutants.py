@@ -123,7 +123,12 @@ MUTANTS = [
     Mutant("the least Lucas term dropped from _transvection_image", "invariants.py",
            "for k, c in _lucas_row(b, p):",
            "for k, c in _lucas_row(b, p)[1:]:",
-           {"failed": {"invariance": 4, "hilbert": 60}}),
+           {"failed": {"invariance": 4, "hilbert": 53}}),
+    # the rows of the dimension counts
+    Mutant("the (b, a) pick dropped from the sorted-tail orbit members", "invariants.py",
+           "for j, b in enumerate(rest):",
+           "for j, b in enumerate(rest[i:], i):",
+           {"failed": {"hilbert": 75}}),
     Mutant("D read as g**a2", "invariants.py",
            "pow(_least_primitive_root(p), m[0], p)",
            "pow(_least_primitive_root(p), m[1], p)",
