@@ -26,7 +26,6 @@ from .fp_poly import (
     require_prime,
 )
 from .invariants import (
-    BoundExceeded,
     L,
     P_coef,
     R_coef,

@@ -50,8 +50,8 @@ EXPONENT_LIMIT = 2 ** 63
 
 # The budget of the verification case being run, or None.  poly_dot calls
 # its before_product(f_terms, g_terms) about every product before forming
-# any, and its checkpoint() once per row of each product; a bracket calls
-# its before_terms(count) before it builds its terms.  Each may raise.
+# any, and checkpoint() once per row, as a dimension count does; a bracket
+# or a check calls before_terms(*counts) on what it builds.  Each may raise.
 case_budget: ContextVar = ContextVar("case_budget", default=None)
 
 

@@ -45,12 +45,6 @@ from .fp_poly import (
 
 ESeq = Tuple[int, ...]
 
-DIMENSION_BOUND = 5000
-
-
-class BoundExceeded(ValueError):
-    """A configurable enumeration bound would be exceeded."""
-
 
 def _sign_unit(k: int, p: int) -> int:
     """(-1) ** k as a residue mod p."""
@@ -391,7 +385,7 @@ def _sorted_exponents(n: int, d: int, step: int, top: int) -> Iterator[Monomial]
             yield (first,) + rest
 
 
-def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOUND) -> int:
+def invariant_space_dimension(n: int, p: int, d: int) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
     Exact linear algebra on the orbit sums of the monomial group (L. Smith,
@@ -421,22 +415,19 @@ def invariant_space_dimension(n: int, p: int, d: int, bound: int = DIMENSION_BOU
     - n = 2.  The picks are (a, b) and (b, a), the orbit of the 2-cycle.
       At n = 1 there is no T, and every m_lambda is invariant.
 
-    bound caps the torus-invariant monomials of degree d, those with every
-    exponent a multiple of p - 1, C(d/(p-1) + n - 1, n - 1) of them (none
-    unless p - 1 divides d): BoundExceeded when there are more.  The count
-    does not enumerate them; it reads one row per lambda.
+    The count has no limit of its own.  The case budget, if set, has its
+    deadline checked once per lambda, so a long count stops at the case's
+    time budget.
     """
     require_prime(p)
     if n < 1 or d < 0:
         raise ValueError(f"bad (n, d) = ({n}, {d})")
-    basis_size = math.comb(d // (p - 1) + n - 1, n - 1) if d % (p - 1) == 0 else 0
-    if basis_size > bound:
-        raise BoundExceeded(
-            f"degree-{d} monomial basis has {basis_size} elements, bound is {bound}"
-        )
+    budget = case_budget.get()
     sums = 0
     pivots: Dict[Monomial, Dict[Monomial, int]] = {}
     for lam in _sorted_exponents(n, d, p - 1, d):
+        if budget is not None:
+            budget.checkpoint()
         sums += 1
         if n < 2:
             continue

@@ -107,7 +107,8 @@ def st_delta(f: Poly, i: int) -> Poly:
     On a monomial it acts by the Leibniz rule,
     sum_j a_j xj**(a_j - 1 + p**i) prod_{k != j} xk**a_k, coefficients
     mod p; terms with a_j divisible by p drop out, so p-th powers are
-    killed.  Raises the degree of homogeneous input by p**i - 1.
+    killed.  Raises the degree of homogeneous input by p**i - 1, and
+    OverflowError where p**i or an exponent it makes reaches 2**63.
     """
     if i < 1:
         raise ValueError(f"need i >= 1 (i = 0 is not supported), got {i}")
@@ -115,6 +116,10 @@ def st_delta(f: Poly, i: int) -> Poly:
     q = p ** i
     if q >= EXPONENT_LIMIT:
         raise OverflowError(f"p**{i} exceeds 2**63")
+    # the column maxima bound each a - 1 + q; the exact ones are read only near the limit
+    if (f.terms and max(map(max, zip(*f.terms))) - 1 + q >= EXPONENT_LIMIT
+            and any(a % p and a - 1 + q >= EXPONENT_LIMIT for m in f.terms for a in m)):
+        raise OverflowError(f"an exponent of st_delta(f, {i}) would exceed 2**63")
     out: Dict[Monomial, int] = {}
     for m, c in f.terms.items():
         for j, a in enumerate(m):

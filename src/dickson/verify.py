@@ -3,11 +3,12 @@
 Each identity is checked as an exact polynomial equality at concrete
 (p, n, s, i, d) points, never symbolically.  A case either passes, fails
 with a witness (the grevlex-largest monomial where the two sides differ),
-is skipped, with the reason, when a term-count, time or size limit is hit,
-or passes with a flag and a witness when a tabulated corollary row differs
-from the theorem in its sign alone (the i = n + 3 row, at odd p).  Every
-two polynomials a check compares go through one function, _compare, which
-asks the case budget about each pair of sides before comparing it.
+is skipped, with the reason, when a term-count or time limit is hit, or
+passes with a flag and a witness when a tabulated corollary row differs
+from the theorem in its sign alone (the i = n + 3 row, at odd p).  A check
+takes only its CaseSpec; its budget is fp_poly.case_budget, set by
+run_case.  Every two polynomials a check compares go through _compare,
+which asks that budget about each pair of sides before comparing it.
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
@@ -65,7 +66,6 @@ from .fp_poly import (
     require_prime,
 )
 from .invariants import (
-    BoundExceeded,
     L,
     _P_bracket,
     _prefix,
@@ -162,9 +162,6 @@ class _Budget:
         self.term_limit = term_limit
         self.deadline = time.monotonic() + time_limit
 
-    def guard(self, *polys: Poly) -> None:
-        self.before_terms(*(len(f.terms) for f in polys))
-
     def before_terms(self, *counts: int) -> None:
         """Stop before polynomials of these term counts past the term or time budget."""
         for count in counts:
@@ -188,17 +185,23 @@ class _Budget:
 
 
 _Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
-_Check = Callable[[CaseSpec, _Budget], _Outcome]
+_Check = Callable[[CaseSpec], _Outcome]
 _Coord = Tuple[Optional[int], Optional[int], Optional[int]]  # (s, i, d)
 
 
-def _compare(budget: _Budget, pairs: Iterable[Tuple[Poly, Poly]]) -> _Outcome:
+def _guard(*polys: Poly) -> None:
+    """Ask the case budget, if set, about polynomials already built."""
+    if (budget := case_budget.get()) is not None:
+        budget.before_terms(*(len(f.terms) for f in polys))
+
+
+def _compare(pairs: Iterable[Tuple[Poly, Poly]]) -> _Outcome:
     """Guard and compare each (lhs, rhs) pair in order: pass, or fail with
     the witness of the first pair that differs, the grevlex-largest
     monomial where its two sides differ.  pairs may be a generator, so a
     pair is built only once the pairs before it agree."""
     for lhs, rhs in pairs:
-        budget.guard(lhs, rhs)
+        _guard(lhs, rhs)
         if lhs != rhs:
             diff = [m for m in set(lhs.terms) | set(rhs.terms)
                     if lhs.terms.get(m, 0) != rhs.terms.get(m, 0)]
@@ -211,13 +214,13 @@ def _monomial(n: int, p: int, m: Monomial) -> str:
     return format_poly(Poly._make(n, p, {m: 1}))
 
 
-def _case_st_delta_Q(spec: CaseSpec, budget: _Budget, i: int, *routes) -> _Outcome:
+def _case_st_delta_Q(spec: CaseSpec, i: int, *routes) -> _Outcome:
     """st_delta(Q_{n,s}, i) against each route(n, s, i, p) in order.  A
     route is built only once those before it agree, so the first that
     differs gives the witness, whatever the later ones would cost."""
     lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), i)
-    budget.guard(lhs)
-    return _compare(budget, ((lhs, route(spec.n, spec.s, i, spec.p)) for route in routes))
+    _guard(lhs)
+    return _compare((lhs, route(spec.n, spec.s, i, spec.p)) for route in routes)
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +282,7 @@ def _quotients_proven(n: int, left: int, top: int, p: int) -> bool:
     return j >= top
 
 
-def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
+def _certificate_gap(spec: CaseSpec, i: int) -> Optional[str]:
     """The first link of the certificate of the main theorem at
     (p, n, s, i) that fails, or None when all four hold.
 
@@ -298,17 +301,17 @@ def _certificate_gap(spec: CaseSpec, budget: _Budget, i: int) -> Optional[str]:
     y, where they are small.
     """
     n, s, p = spec.n, spec.s, spec.p
-    if not _case_st_delta_Q(spec, budget, i, st_delta_via_dl2)[0]:
+    if not _case_st_delta_Q(spec, i, st_delta_via_dl2)[0]:
         return "det-formula"
     for left, top in ((s, i), (n - 1, i - 1), (s - 1, i - 1)):
         if left >= 0 and not _quotients_proven(n, left, top, p):
             return f"recursion up to [0..{n - 1} without {left}, {top}]"
-    if not _case_q0_power(spec, budget)[0]:
+    if not _case_q0_power(spec)[0]:
         return "q0-power"
     X = y_quotient(n, s, i, p)
     R, P, _ = _quotient_row(n, s, i, p)
     rhs = poly_dot([(1, poly_var(s + 1, n, p), R, 1), (-1, poly_one(n, p), P, 1)], n, p)
-    return None if _compare(budget, [(X, rhs)])[0] else "free ring"
+    return None if _compare([(X, rhs)])[0] else "free ring"
 
 
 # A row (R, P, sign) of the main form, R and P in the Dickson coordinates,
@@ -328,7 +331,7 @@ def _lead(f: Poly) -> Monomial:
     return max(f.terms, key=grevlex_key)
 
 
-def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow) -> _Outcome:
+def _case_closed_form(spec: CaseSpec, i: int, row: _YRow) -> _Outcome:
     """st_delta(Q_{n,s}, i) against the main form
     (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p) at the row (R, P, sign) =
     row(n, s, i, p), decided without building the form in x.
@@ -348,13 +351,13 @@ def _case_closed_form(spec: CaseSpec, budget: _Budget, i: int, row: _YRow) -> _O
     row's sign is ever flagged, and a broken certificate never passes.
     """
     n, s, p = spec.n, spec.s, spec.p
-    gap = _certificate_gap(spec, budget, i)
+    gap = _certificate_gap(spec, i)
     if gap is None:
         R, P, sign = row(n, s, i, p)
         want_R, want_P, _ = _quotient_row(n, s, i, p)
-        if not _compare(budget, [(R, want_R)])[0]:
+        if not _compare([(R, want_R)])[0]:
             gap = "row R"
-        elif not _compare(budget, [(P, want_P)])[0]:
+        elif not _compare([(P, want_P)])[0]:
             gap = "row P"
     if gap is None:
         if (sign + 1) % p == 0:
@@ -372,8 +375,8 @@ def _case_cor(k: int) -> _Check:
     i = n + k: the row read in the Dickson coordinates (steenrod._read_row
     with base(t) = y_t)."""
     which = f"n+{k}"
-    return lambda spec, budget: _case_closed_form(
-        spec, budget, spec.n + k,
+    return lambda spec: _case_closed_form(
+        spec, spec.n + k,
         lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)))
 
 
@@ -403,19 +406,19 @@ def _case_recursion(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
             yield bracket(n, prefix + (k,), p), poly_scale(bracket(n, ordered + (k,), p), sign)
 
 
-def _case_kernel(spec: CaseSpec, budget: _Budget) -> _Outcome:
+def _case_kernel(spec: CaseSpec) -> _Outcome:
     n, s, i, p = spec.n, spec.s, spec.i, spec.p
     # Q_{n,0}**(p-1) Q_{n,s} = L_n**(p(p-2)) L(n, s), as Q_{n,0} = L_n**(p-1)
     # and Q_{n,s} L_n = L(n, s).
     base = poly_dot([(1, L(n, s, p), _L_pow(n, p), 1)], n, p)
-    budget.guard(base)
+    _guard(base)
     once = st_delta(base, i)
-    budget.guard(once)
+    _guard(once)
 
     def pairs():
         yield once, corollary_rhs("kernel", n, s, p, i=i)
         yield st_delta(once, i), poly_zero(n, p)
-    return _compare(budget, pairs())
+    return _compare(pairs())
 
 
 def _case_invariance(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
@@ -430,8 +433,7 @@ def _case_invariance(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
         yield act(f), f
 
 
-def _case_hilbert(spec: CaseSpec, budget: _Budget) -> _Outcome:
-    budget.checkpoint()
+def _case_hilbert(spec: CaseSpec) -> _Outcome:
     dim = invariant_space_dimension(spec.n, spec.p, spec.d)
     expected = dickson_monomial_count(spec.n, spec.p, spec.d)
     if dim == expected:
@@ -439,13 +441,13 @@ def _case_hilbert(spec: CaseSpec, budget: _Budget) -> _Outcome:
     return False, False, f"degree {spec.d}: dimension {dim} vs series {expected}"
 
 
-def _case_q0_power(spec: CaseSpec, budget: _Budget) -> _Outcome:
+def _case_q0_power(spec: CaseSpec) -> _Outcome:
     n, p = spec.n, spec.p
     lhs = dickson_Q(n, 0, p)
     rhs = poly_pow(L(n, n, p), p - 1)
     if spec.perturb:
         rhs = poly_add(rhs, poly_const(1, n, p))
-    return _compare(budget, [(lhs, rhs)])
+    return _compare([(lhs, rhs)])
 
 
 def _each_s(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
@@ -471,18 +473,17 @@ class _Family(NamedTuple):
 # trace it) reaches every check.
 _FAMILIES: Dict[str, _Family] = {
     "main": _Family(
-        lambda spec, budget: _case_closed_form(spec, budget, spec.i, _quotient_row),
+        lambda spec: _case_closed_form(spec, spec.i, _quotient_row),
         _each_s_i),
     "smith-switzer": _Family(
-        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, smith_switzer_value),
+        lambda spec: _case_st_delta_Q(spec, spec.i, smith_switzer_value),
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n), d_max)),
-    "recursion": _Family(lambda spec, budget: _compare(budget, _case_recursion(spec)), _once),
+    "recursion": _Family(lambda spec: _compare(_case_recursion(spec)), _once),
     "det-formula": _Family(
-        lambda spec, budget: _case_st_delta_Q(spec, budget, spec.i, st_delta_via_dl2),
+        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2),
         _each_s_i),
     "routes-agree": _Family(
-        lambda spec, budget: _case_st_delta_Q(
-            spec, budget, spec.i, st_delta_via_dl2, st_delta_via_main),
+        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2, st_delta_via_main),
         _each_s_i),
     "cor-n1": _Family(_case_cor(1), _each_s),
     "cor-n2": _Family(_case_cor(2), _each_s),
@@ -491,7 +492,7 @@ _FAMILIES: Dict[str, _Family] = {
         _case_kernel,
         lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n + 3), d_max)),
     "invariance": _Family(
-        lambda spec, budget: _compare(budget, _case_invariance(spec)), _each_s),
+        lambda spec: _compare(_case_invariance(spec)), _each_s),
     "hilbert": _Family(
         _case_hilbert,
         lambda n, s_range, i_top, d_max: [(None, None, d) for d in range(d_max + 1)]),
@@ -539,20 +540,20 @@ def run_case(
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> CaseResult:
     """Evaluate one case.  Resource exhaustion gives skipped with a reason,
-    never failed; that includes an exponent past 2**63 (OverflowError) and
-    running out of memory (MemoryError).  While the case runs, its budget
-    is fp_poly.case_budget, so every product stops before it would break
-    the term budget, and at the deadline while it is formed."""
+    never failed: the term or time budget (BudgetExceeded), an exponent
+    past 2**63 (OverflowError) or running out of memory (MemoryError).
+    While the case runs, its budget is fp_poly.case_budget, so every
+    product stops before it would break the term budget, and every product
+    and dimension count at the deadline while it runs."""
     family = _FAMILIES.get(spec.theorem)
     if family is None:
         raise ValueError(f"unknown theorem {spec.theorem!r}")
-    budget = _Budget(term_budget, time_budget)
-    token = case_budget.set(budget)
+    token = case_budget.set(_Budget(term_budget, time_budget))
     start = time.perf_counter()
     skip_reason = None
     try:
-        passed, flagged, witness = family.check(spec, budget)
-    except (BudgetExceeded, BoundExceeded, OverflowError, MemoryError) as exc:
+        passed, flagged, witness = family.check(spec)
+    except (BudgetExceeded, OverflowError, MemoryError) as exc:
         passed, flagged, witness = False, False, None
         skip_reason = "out of memory" if isinstance(exc, MemoryError) else str(exc)
     finally:

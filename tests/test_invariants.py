@@ -23,7 +23,6 @@ from dickson.fp_poly import (
     poly_zero,
 )
 from dickson.invariants import (
-    BoundExceeded,
     _P_bracket,
     _transvection_image,
     L,
@@ -641,21 +640,40 @@ class TestDimensions:
                 assert image == substitute_linear(mono, t) - mono, m
 
     def test_bound_counts_the_enumerated_monomials(self):
-        # the bound caps the monomials with every exponent a multiple of
-        # p - 1, C(27 + 3, 3) = 4060 at (3, 4), d = 54, the first degree
-        # with an invariant there; the full basis would be C(57, 3) = 29260
+        # the rows are the lambdas, not the monomials: (3, 4), d = 54, the
+        # first degree with an invariant there, has 4060 monomials with
+        # every exponent a multiple of p - 1, and a full basis of
+        # C(57, 3) = 29260
         assert invariant_space_dimension(4, 3, 54) == dickson_monomial_count(4, 3, 54) == 1
         for d in range(100, 125):
             assert invariant_space_dimension(3, 5, d) == dickson_monomial_count(3, 5, d), d
-        with pytest.raises(BoundExceeded):
-            invariant_space_dimension(4, 3, 54, bound=4059)
-        assert invariant_space_dimension(4, 3, 55, bound=0) == 0
+        # and no limit of its own: C(44, 4) = 135751 monomials of degree 40
+        assert invariant_space_dimension(5, 2, 40) == dickson_monomial_count(5, 2, 40)
 
-    def test_bound(self):
-        with pytest.raises(BoundExceeded):
-            invariant_space_dimension(3, 2, 150)
-        with pytest.raises(BoundExceeded):
-            invariant_space_dimension(2, 2, 9, bound=5)
+    def test_checks_the_deadline_once_per_row(self):
+        # the rows of (2, 2, 20) are the lambdas (20 - b, b), b = 0..10
+        calls = []
+
+        class Deadline:
+            def __init__(self, at):
+                self.at = at
+
+            def checkpoint(self):
+                calls.append(len(calls) + 1)
+                if len(calls) == self.at:
+                    raise RuntimeError("time budget exceeded")
+
+        token = fp_poly.case_budget.set(Deadline(at=4))
+        try:
+            with pytest.raises(RuntimeError):
+                invariant_space_dimension(2, 2, 20)
+            assert calls == [1, 2, 3, 4]
+            calls.clear()
+            fp_poly.case_budget.set(Deadline(at=0))
+            assert invariant_space_dimension(2, 2, 20) == 4
+            assert calls == list(range(1, 12))
+        finally:
+            fp_poly.case_budget.reset(token)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,15 @@ class TestPrimitiveDerivation:
         with pytest.raises(OverflowError):
             st_delta(poly_var(1, 1, 2), 63)
 
+    def test_exponent_limit(self):
+        # x1**a goes to x1**(a - 1 + 2**62): 2**63 - 2 passes, 2**63 raises
+        assert st_delta(Poly(1, 2, {(2 ** 62 - 1,): 1}), 62) == Poly(1, 2, {(2 ** 63 - 2,): 1})
+        with pytest.raises(OverflowError, match="exponent"):
+            st_delta(Poly(1, 2, {(2 ** 62 + 1,): 1}), 62)
+        # an exponent divisible by p makes none, however large
+        f = Poly(2, 2, {(2 ** 62 + 2, 1): 1})
+        assert st_delta(f, 62) == Poly(2, 2, {(2 ** 62 + 2, 2 ** 62): 1})
+
     def test_rejects_low_index(self):
         with pytest.raises(ValueError):
             st_delta(poly_one(1, 2), 0)

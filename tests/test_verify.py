@@ -1,6 +1,8 @@
 """Verification grid plumbing: case dispatch, reports, determinism, CLI."""
+import contextlib
 import functools
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -385,12 +387,19 @@ class TestRunCase:
         r = run_case(CaseSpec(theorem="hilbert", p=3, n=4, d=54))
         assert r.passed and not r.skipped
 
-    def test_dimension_bound_skips(self):
-        # a basis too large for the dimension routine reports as skipped
-        r = run_case(CaseSpec(theorem="hilbert", p=2, n=3, d=200))
-        assert r.skipped
-        assert r.skip_reason == (
-            "degree-200 monomial basis has 20301 elements, bound is 5000")
+    def test_a_long_dimension_count_stops_at_the_time_budget(self):
+        # the count alone runs over 20 s; the deadline stops it
+        start = time.monotonic()
+        r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=4999), time_budget=0.5)
+        assert time.monotonic() - start < 2
+        assert (r.passed, r.skipped) == (False, True)
+        assert r.skip_reason == "time budget exceeded"
+        assert case_budget.get() is None
+
+    def test_hilbert_has_no_size_limit_of_its_own(self):
+        # 324,632 monomials of degree 30 in six variables, counted in 1,206 rows
+        r = run_case(CaseSpec(theorem="hilbert", p=2, n=6, d=30))
+        assert r.passed and not r.skipped
 
     def test_no_skip_reason_unless_skipped(self):
         assert run_case(CaseSpec(theorem="q0-power", p=2, n=2)).skip_reason is None
@@ -433,8 +442,16 @@ def main_specs():
     return specs
 
 
+@contextlib.contextmanager
 def budget():
-    return verify._Budget(verify.DEFAULT_TERM_BUDGET, verify.DEFAULT_TIME_BUDGET)
+    """The default case budget, set as run_case sets it, around a check
+    called directly."""
+    token = case_budget.set(verify._Budget(verify.DEFAULT_TERM_BUDGET,
+                                           verify.DEFAULT_TIME_BUDGET))
+    try:
+        yield
+    finally:
+        case_budget.reset(token)
 
 
 def plus_one(f):
@@ -448,9 +465,10 @@ class TestMainCertificate:
         specs = main_specs()
         assert len(specs) == 67 + 54
         for spec in specs:
-            gap = verify._certificate_gap(spec, budget(), spec.i)
-            x_passed, _, _ = verify._case_st_delta_Q(
-                spec, budget(), spec.i, steenrod.st_delta_via_main)
+            with budget():
+                gap = verify._certificate_gap(spec, spec.i)
+                x_passed, _, _ = verify._case_st_delta_Q(
+                    spec, spec.i, steenrod.st_delta_via_main)
             assert (gap is None) == x_passed, spec
             assert gap is None
 
@@ -535,7 +553,8 @@ class TestMainCertificate:
         try:
             specs = [spec for spec in grid_cases(GridConfig(
                 theorems=("main",), pairs=((2, 2), (3, 2), (5, 2)))) if spec.i >= spec.n]
-            gaps = [verify._certificate_gap(spec, budget(), spec.i) for spec in specs]
+            with budget():
+                gaps = [verify._certificate_gap(spec, spec.i) for spec in specs]
         finally:
             clear_caches()
         assert len(specs) == 30
@@ -605,9 +624,9 @@ def x_route(spec):
     """The corollary case decided in x: st_delta(Q_{n,s}, n + k) against
     corollary_rhs, where a cor-n3 mismatch passes, flagged."""
     k = int(spec.theorem[-1])
-    passed, flagged, witness = verify._case_st_delta_Q(
-        spec, budget(), spec.n + k,
-        lambda n, s, i, p: steenrod.corollary_rhs(f"n+{k}", n, s, p))
+    with budget():
+        passed, flagged, witness = verify._case_st_delta_Q(
+            spec, spec.n + k, lambda n, s, i, p: steenrod.corollary_rhs(f"n+{k}", n, s, p))
     if spec.theorem == "cor-n3":
         return True, not passed, witness
     return passed, flagged, witness
@@ -650,7 +669,8 @@ class TestCorollaryCertificate:
         assert len(specs) == 33 + 17
         flags = []
         for spec in specs:
-            got = verify._FAMILIES[spec.theorem].check(spec, budget())
+            with budget():
+                got = verify._FAMILIES[spec.theorem].check(spec)
             assert got == x_route(spec), spec
             if got[1]:
                 flags.append((spec.p, spec.n, spec.s, got[2]))
@@ -712,6 +732,38 @@ class TestCorollaryCertificate:
             (True, False, True, "x1^2160*x2^72*x3^24*x4^8"),
             (True, False, True, "x1^2160*x2^72*x3^24*x4^2"),
             (False, False, False, "certificate link row P fails")]
+
+    def test_every_quotient_read_is_proven(self, monkeypatch):
+        # link 2 proves y_quotient(n, left, j) for every j <= top at each
+        # _quotients_proven(n, left, top) it calls; link 4 and the row check
+        # read y_quotient only where a call of the same case proved it
+        proven, read, proving = [], [], []
+        real_proven, real_y = verify._quotients_proven, verify.y_quotient
+
+        def prove(n, left, top, p):
+            proven.append((left, top))
+            proving.append(True)
+            try:
+                return real_proven(n, left, top, p)
+            finally:
+                proving.pop()
+
+        def y(n, left, j, p):
+            if not proving:
+                read.append((left, j))
+            return real_y(n, left, j, p)
+
+        monkeypatch.setattr(verify, "_quotients_proven", prove)
+        monkeypatch.setattr(verify, "y_quotient", y)
+        specs = grid_cases(GridConfig(theorems=("main",) + COROLLARIES))
+        assert len(specs) == 67 + 33
+        for spec in specs:
+            proven.clear()
+            read.clear()
+            assert run_case(spec).passed, spec
+            assert read, spec
+            for left, j in read:
+                assert any(l == left and top >= j for l, top in proven), (spec, left, j)
 
 
 class TestReports:
