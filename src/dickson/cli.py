@@ -20,7 +20,6 @@ from .verify import (
     THEOREMS,
     emit_report,
     run_grid,
-    term_budget_from_env,
 )
 
 
@@ -101,7 +100,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             i_max=args.i_max,
             d_max=args.d_max,
             seed=args.seed,
-            term_budget=term_budget_from_env(),
             inject_failure=args.inject_failure,
         )
     except (ValueError, TypeError) as exc:

@@ -5,10 +5,12 @@ Each identity is checked as an exact polynomial equality at concrete
 with a witness (the grevlex-largest monomial where the two sides differ),
 is skipped, with the reason, when a term-count or time limit is hit, or
 passes with a flag and a witness when a tabulated corollary row differs
-from the theorem in its sign alone (the i = n + 3 row, at odd p).  A check
-takes only its CaseSpec; its budget is fp_poly.case_budget, set by
-run_case.  Every two polynomials a check compares go through _compare,
-which asks that budget about each pair of sides before comparing it.
+from the theorem in its sign alone (the i = n + 3 row, at odd p).  Every
+case has the same budget, TERM_BUDGET terms and TIME_BUDGET seconds,
+which no setting changes.  A check takes only its CaseSpec; its budget is
+fp_poly.case_budget, set by run_case.  Every two polynomials a check
+compares go through _compare, which asks that budget about each pair of
+sides before comparing it.
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
@@ -40,11 +42,10 @@ is only recorded in the report.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
@@ -94,10 +95,13 @@ DEFAULT_PAIRS: Tuple[Tuple[int, int], ...] = (
     (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2),
 )
 
-DEFAULT_TERM_BUDGET = 10 ** 7
-DEFAULT_TIME_BUDGET = 60.0
+# Every case runs under these two limits (run_case reads them per call).
+TERM_BUDGET = 10 ** 7
+TIME_BUDGET = 60.0
 DEFAULT_D_MAX = 30
-TERM_BUDGET_ENV = "DICKSON_TERM_BUDGET"
+# The most cases a grid may have: about 2,000 default grids, a report of
+# roughly 250 MB.
+MAX_CASES = 10 ** 6
 
 
 class BudgetExceeded(Exception):
@@ -140,21 +144,6 @@ class Report:
             "failed": sum(1 for c in self.cases if not c.passed and not c.skipped),
             "skipped": sum(1 for c in self.cases if c.skipped),
         }
-
-
-def term_budget_from_env() -> int:
-    raw = os.environ.get(TERM_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_TERM_BUDGET
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"{TERM_BUDGET_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    return value
 
 
 class _Budget:
@@ -450,22 +439,23 @@ def _case_q0_power(spec: CaseSpec) -> _Outcome:
     return _compare([(lhs, rhs)])
 
 
-def _each_s(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
-    return [(s, None, None) for s in s_range]
+def _each_s(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
+    return ((s, None, None) for s in s_range)
 
 
-def _each_s_i(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
-    return [(s, i, None) for s in s_range for i in range(1, i_top + 1)]
+def _each_s_i(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
+    return ((s, i, None) for s in s_range for i in range(1, i_top + 1))
 
 
-def _once(n: int, s_range: List[int], i_top: int, d_max: int) -> List[_Coord]:
+def _once(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
     return [(None, None, None)]
 
 
 class _Family(NamedTuple):
     check: _Check
-    # (n, allowed s values, top i, d_max) -> the (s, i, d) of each case at one (p, n)
-    coords: Callable[[int, List[int], int, int], List[_Coord]]
+    # (n, allowed s values, top i, d_max) -> the (s, i, d) of each case at
+    # one (p, n), made lazily, so a grid is counted without being listed
+    coords: Callable[[int, Iterable[int], int, int], Iterable[_Coord]]
 
 
 # The identity families, in report order.  The check lambdas look the
@@ -495,7 +485,7 @@ _FAMILIES: Dict[str, _Family] = {
         lambda spec: _compare(_case_invariance(spec)), _each_s),
     "hilbert": _Family(
         _case_hilbert,
-        lambda n, s_range, i_top, d_max: [(None, None, d) for d in range(d_max + 1)]),
+        lambda n, s_range, i_top, d_max: ((None, None, d) for d in range(d_max + 1))),
     "q0-power": _Family(_case_q0_power, _once),
 }
 
@@ -504,14 +494,14 @@ THEOREMS: Tuple[str, ...] = tuple(_FAMILIES)
 
 @dataclass(frozen=True)
 class GridConfig:
-    """A verification grid; construction rejects a grid that cannot run."""
+    """A verification grid; construction rejects a grid that cannot run,
+    or that has more than MAX_CASES cases."""
     theorems: Tuple[str, ...] = THEOREMS
     pairs: Tuple[Tuple[int, int], ...] = DEFAULT_PAIRS
     s_values: Optional[Tuple[int, ...]] = None
     i_max: Optional[int] = None
     d_max: int = DEFAULT_D_MAX
     seed: int = 0
-    term_budget: int = DEFAULT_TERM_BUDGET
     inject_failure: bool = False
 
     def __post_init__(self) -> None:
@@ -531,31 +521,35 @@ class GridConfig:
             raise ValueError(f"need d_max >= 0, got {self.d_max}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if next(islice(_grid(self), MAX_CASES, None), None) is not None:
+            raise ValueError(f"the grid has more than {MAX_CASES} cases")
 
 
-def run_case(
-    spec: CaseSpec,
-    *,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-) -> CaseResult:
-    """Evaluate one case.  Resource exhaustion gives skipped with a reason,
-    never failed: the term or time budget (BudgetExceeded), an exponent
-    past 2**63 (OverflowError) or running out of memory (MemoryError).
-    While the case runs, its budget is fp_poly.case_budget, so every
-    product stops before it would break the term budget, and every product
-    and dimension count at the deadline while it runs."""
+# The skip reasons of the exhaustions whose own text is no reason (that of
+# a RecursionError differs between Python versions).
+_EXHAUSTED = {MemoryError: "out of memory", RecursionError: "recursion too deep"}
+
+
+def run_case(spec: CaseSpec) -> CaseResult:
+    """Evaluate one case under TERM_BUDGET terms and TIME_BUDGET seconds.
+    Resource exhaustion gives skipped with a reason, never failed: the term
+    or time budget (BudgetExceeded), an exponent past 2**63
+    (OverflowError), running out of memory (MemoryError) or of stack
+    (RecursionError, as a count of invariants at large n).  While the case
+    runs, its budget is fp_poly.case_budget, so every product stops before
+    it would break the term budget, and every product and dimension count
+    at the deadline while it runs."""
     family = _FAMILIES.get(spec.theorem)
     if family is None:
         raise ValueError(f"unknown theorem {spec.theorem!r}")
-    token = case_budget.set(_Budget(term_budget, time_budget))
+    token = case_budget.set(_Budget(TERM_BUDGET, TIME_BUDGET))
     start = time.perf_counter()
     skip_reason = None
     try:
         passed, flagged, witness = family.check(spec)
-    except (BudgetExceeded, OverflowError, MemoryError) as exc:
+    except (BudgetExceeded, OverflowError, MemoryError, RecursionError) as exc:
         passed, flagged, witness = False, False, None
-        skip_reason = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        skip_reason = _EXHAUSTED.get(type(exc)) or str(exc)
     finally:
         case_budget.reset(token)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
@@ -570,27 +564,30 @@ def run_case(
     )
 
 
-def grid_cases(config: GridConfig) -> List[CaseSpec]:
-    """The deterministic, canonically ordered case list for a configuration."""
-    cases: List[CaseSpec] = []
+def _grid(config: GridConfig) -> Iterator[tuple]:
+    """The CaseSpec fields of each case of a configuration, in canonical
+    order, made one by one: a tuple costs a fraction of a CaseSpec, so a
+    grid is counted quickly without being listed."""
     for theorem in config.theorems:
         for p, n in config.pairs:
-            s_range = [
-                s for s in range(n)
-                if config.s_values is None or s in config.s_values
-            ]
+            s_range = range(n) if config.s_values is None else \
+                sorted({s for s in config.s_values if s < n})
             i_top = config.i_max if config.i_max is not None else n + 4
             for s, i, d in _FAMILIES[theorem].coords(n, s_range, i_top, config.d_max):
-                cases.append(CaseSpec(theorem=theorem, p=p, n=n, s=s, i=i, d=d))
+                yield theorem, p, n, s, i, d, False
     if config.inject_failure:
         p, n = config.pairs[0]
-        cases.append(CaseSpec(theorem="q0-power", p=p, n=n, perturb=True))
-    return cases
+        yield "q0-power", p, n, None, None, None, True
+
+
+def grid_cases(config: GridConfig) -> List[CaseSpec]:
+    """The deterministic, canonically ordered case list for a configuration."""
+    return [CaseSpec(*fields) for fields in _grid(config)]
 
 
 def run_grid(config: GridConfig) -> Report:
     cases = grid_cases(config)
-    results = tuple(run_case(spec, term_budget=config.term_budget) for spec in cases)
+    results = tuple(run_case(spec) for spec in cases)
     return Report(
         version=__version__,
         sign_flag=sign_convention_flag(),

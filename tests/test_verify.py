@@ -2,8 +2,12 @@
 import contextlib
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,22 @@ def small_config(**kw):
     base = dict(theorems=("q0-power",), pairs=((2, 2),), d_max=4)
     base.update(kw)
     return GridConfig(**base)
+
+
+def run_capped(*args):
+    """python *args in a child process whose address space is capped at
+    1.5 GB, as `ulimit -v 1500000` caps it, with this tree's src first on
+    its path: a list that outgrows the cap ends in a MemoryError there,
+    not in the memory of the machine."""
+    import resource
+
+    cap = 1_500_000 * 1024
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
 def strip_timing(d):
@@ -161,6 +181,24 @@ class TestGridCases:
         assert report.summary == {"passed": 0, "failed": 0, "skipped": 0}
         assert emit_report(report, "text").rstrip().endswith("FAILED: 0")
 
+    def test_grid_of_more_than_max_cases_is_refused(self, monkeypatch):
+        # counted by the coordinates that list the grid, the injected case too
+        monkeypatch.setattr(verify, "MAX_CASES", 10)
+        hilbert = dict(theorems=("hilbert",), pairs=((2, 1),))
+        assert len(grid_cases(GridConfig(d_max=9, **hilbert))) == 10
+        for too_large in (dict(d_max=10), dict(d_max=9, inject_failure=True)):
+            with pytest.raises(ValueError, match="more than 10 cases"):
+                GridConfig(**hilbert, **too_large)
+
+    def test_one_case_at_a_huge_n_is_listed_lazily(self):
+        # q0-power at n = 10**8 is one case; the s values of the pair are
+        # never listed
+        proc = run_capped("-c", "from dickson import GridConfig, grid_cases; print(grid_cases("
+                          "GridConfig(theorems=('q0-power',), pairs=((2, 10 ** 8),))))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("[CaseSpec(theorem='q0-power', p=2, n=100000000, s=None, "
+                               "i=None, d=None, perturb=False)]\n")
+
     def test_injected_failure_is_last(self):
         cases = grid_cases(small_config(inject_failure=True))
         assert cases[-1].perturb
@@ -208,40 +246,44 @@ class TestRunCase:
         assert not r.passed and not r.skipped
         assert r.witness == "1"
 
-    def test_term_budget_skips(self):
+    def test_term_budget_skips(self, monkeypatch):
         # with cold caches, Dickson's recursion building Q_{2,0} asks the
         # budget about its first product
+        monkeypatch.setattr(verify, "TERM_BUDGET", 1)
         clear_caches()
         try:
-            r = run_case(CaseSpec(theorem="q0-power", p=2, n=2), term_budget=1)
+            r = run_case(CaseSpec(theorem="q0-power", p=2, n=2))
         finally:
             clear_caches()
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 2 by 1 terms exceeds the budget 1"
 
-    def test_term_budget_skips_on_warm_caches(self):
+    def test_term_budget_skips_on_warm_caches(self, monkeypatch):
         # with Q_{2,0} and L_2 cached, the case builds nothing, and the
         # guard on its two 2-term sides refuses it
         invariants.dickson_Q(2, 0, 2)
         invariants.L(2, 2, 2)
-        r = run_case(CaseSpec(theorem="q0-power", p=2, n=2), term_budget=1)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 1)
+        r = run_case(CaseSpec(theorem="q0-power", p=2, n=2))
         assert r.skipped and not r.passed
         assert r.skip_reason == "2 terms exceed the budget 1"
 
-    def test_time_budget_skips(self):
-        r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=20), time_budget=0.0)
+    def test_time_budget_skips(self, monkeypatch):
+        monkeypatch.setattr(verify, "TIME_BUDGET", 0.0)
+        r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=20))
         assert r.skipped
         assert r.skip_reason == "time budget exceeded"
 
-    def test_quotient_recursion_stops_before_a_wide_product(self, dot_spy):
+    def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch, dot_spy):
         # R_coef(2, 15, 3) would build a 2,391,484-term quotient; under a
         # budget of 10**6 the recursion stops before any product has more
         # term pairs than that.  routes-agree builds it through
         # st_delta_via_main; main decides the case by its certificate (below)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
         R_coef.cache_clear()
         P_coef.cache_clear()
         try:
-            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15), term_budget=10 ** 6)
+            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
         finally:
             R_coef.cache_clear()
             P_coef.cache_clear()
@@ -272,10 +314,11 @@ class TestRunCase:
         dl2 = steenrod.st_delta_via_dl2
         monkeypatch.setattr(verify, "st_delta_via_dl2",
                             lambda n, s, i, p: plus_one(dl2(n, s, i, p)))
+        monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
         R_coef.cache_clear()
         P_coef.cache_clear()
         try:
-            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15), term_budget=10 ** 6)
+            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
         finally:
             R_coef.cache_clear()
             P_coef.cache_clear()
@@ -301,19 +344,21 @@ class TestRunCase:
         refuse_x_route(monkeypatch)
         monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+3",
                             drop_first_term_of_rhat(steenrod._COROLLARY_ROWS["n+3"]))
-        r = run_case(CaseSpec("cor-n3", 5, 3, s=1), term_budget=500_000)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 500_000)
+        r = run_case(CaseSpec("cor-n3", 5, 3, s=1))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link row R fails"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
         assert case_budget.get() is None
 
-    def test_dickson_recursion_stops_before_a_wide_product(self, dot_spy):
+    def test_dickson_recursion_stops_before_a_wide_product(self, monkeypatch, dot_spy):
         # q0-power builds Q_{5,0} by Dickson's recursion, whose products
         # ask the budget like every other product
+        monkeypatch.setattr(verify, "TERM_BUDGET", 1000)
         invariants._dickson_row.cache_clear()
         invariants.dickson_Q.cache_clear()
         try:
-            r = run_case(CaseSpec("q0-power", 2, 5), term_budget=1000)
+            r = run_case(CaseSpec("q0-power", 2, 5))
         finally:
             invariants._dickson_row.cache_clear()
             invariants.dickson_Q.cache_clear()
@@ -322,11 +367,12 @@ class TestRunCase:
         assert dot_spy.pairs and max(dot_spy.pairs) <= 1000
         assert case_budget.get() is None
 
-    def test_main_form_skips_on_R_by_its_own_term_count(self):
+    def test_main_form_skips_on_R_by_its_own_term_count(self, monkeypatch):
         # routes-agree at (3,2,0,12): R_coef(2, 12, 3) has 88,573 terms and
         # its recursion products stay under 150,000 term pairs; the main
         # form's product of L(2, 0) by R**p is refused before R**p is formed
-        r = run_case(CaseSpec("routes-agree", 3, 2, s=0, i=12), term_budget=150_000)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 150_000)
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=0, i=12))
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 2 by 88573 terms exceeds the budget 150000"
 
@@ -337,7 +383,8 @@ class TestRunCase:
             raise AssertionError("the permutations were read before the ask")
 
         monkeypatch.setattr(invariants, "_signed_permutations", unread)
-        r = run_case(CaseSpec("kernel", 2, 8, s=0, i=1), term_budget=10_000)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 10_000)
+        r = run_case(CaseSpec("kernel", 2, 8, s=0, i=1))
         assert r.skipped and not r.passed
         assert r.skip_reason == "40320 terms exceed the budget 10000"
         assert case_budget.get() is None
@@ -352,9 +399,10 @@ class TestRunCase:
         assert r.skip_reason == "out of memory"
         assert case_budget.get() is None
 
-    def test_main_passes_where_the_x_route_runs_over_budget(self):
+    def test_main_passes_where_the_x_route_runs_over_budget(self, monkeypatch):
         # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
-        r = run_case(CaseSpec("main", 3, 2, s=1, i=15), term_budget=10 ** 6)
+        monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
+        r = run_case(CaseSpec("main", 3, 2, s=1, i=15))
         assert r.passed and not r.skipped and r.witness is None
 
     @pytest.mark.parametrize("p,n,s", [(2, 3, 1), (3, 3, 1), (5, 3, 2), (3, 2, 0), (2, 4, 2)])
@@ -387,10 +435,11 @@ class TestRunCase:
         r = run_case(CaseSpec(theorem="hilbert", p=3, n=4, d=54))
         assert r.passed and not r.skipped
 
-    def test_a_long_dimension_count_stops_at_the_time_budget(self):
+    def test_a_long_dimension_count_stops_at_the_time_budget(self, monkeypatch):
         # the count alone runs over 20 s; the deadline stops it
+        monkeypatch.setattr(verify, "TIME_BUDGET", 0.5)
         start = time.monotonic()
-        r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=4999), time_budget=0.5)
+        r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=4999))
         assert time.monotonic() - start < 2
         assert (r.passed, r.skipped) == (False, True)
         assert r.skip_reason == "time budget exceeded"
@@ -405,14 +454,6 @@ class TestRunCase:
         assert run_case(CaseSpec(theorem="q0-power", p=2, n=2)).skip_reason is None
         assert run_case(CaseSpec(theorem="q0-power", p=2, n=2,
                                  perturb=True)).skip_reason is None
-
-    def test_budget_env_is_read_by_the_cli_only(self, monkeypatch):
-        # library callers pass term_budget; run_case and run_grid agree
-        monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
-        single = run_case(CaseSpec("q0-power", 2, 2))
-        report = run_grid(GridConfig(theorems=("q0-power",), pairs=((2, 2),)))
-        assert single.passed and not single.skipped
-        assert [(c.passed, c.skipped) for c in report.cases] == [(True, False)]
 
     def test_flagged_composite(self):
         r = run_case(CaseSpec(theorem="cor-n3", p=3, n=2, s=1))
@@ -446,8 +487,7 @@ def main_specs():
 def budget():
     """The default case budget, set as run_case sets it, around a check
     called directly."""
-    token = case_budget.set(verify._Budget(verify.DEFAULT_TERM_BUDGET,
-                                           verify.DEFAULT_TIME_BUDGET))
+    token = case_budget.set(verify._Budget(verify.TERM_BUDGET, verify.TIME_BUDGET))
     try:
         yield
     finally:
@@ -906,11 +946,32 @@ class TestCli:
             main(argv)
         assert info.value.code == 2
 
-    def test_bad_budget_env(self, monkeypatch):
+    def test_no_budget_variable_is_read(self, monkeypatch, capsys):
+        # the budget is fixed: a variable that once set it changes nothing
         monkeypatch.setenv("DICKSON_TERM_BUDGET", "zero")
-        with pytest.raises(SystemExit) as info:
-            main(["--theorem", "q0-power", "--p", "2", "--n", "2"])
-        assert info.value.code == 2
+        assert main(["--theorem", "q0-power", "--p", "2", "--n", "2"]) == 0
+        assert "PASSED: 1" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "hilbert", "--p", "2", "--n", "1", "--d-max", "100000000"],
+        ["--theorem", "smith-switzer", "--p", "2", "--n", "3000000"],
+    ], ids=["hilbert", "smith-switzer"])
+    def test_a_grid_too_large_to_list_is_a_usage_error(self, argv):
+        # refused while it is counted, before anything is listed or run
+        proc = run_capped("-m", "dickson", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.rstrip().endswith(
+            "error: the grid has more than 1000000 cases"), proc.stderr
+
+    def test_dimension_counts_past_the_stack_skip(self, capsys):
+        # listing the exponents of 5,000 variables recurses 5,000 deep: each
+        # case skips with one reason, whatever the Python version's message
+        rc = main(["--theorem", "hilbert", "--p", "2", "--n", "5000", "--d-max", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "SKIPPED: 3" in lines
+        assert sum(line.endswith("  recursion too deep") for line in lines) == 3
 
     def test_exponent_overflow_skips(self, capsys):
         # p**i passes 2**63 at i = 28, 29, 30: skipped, not a traceback
@@ -948,10 +1009,10 @@ class TestCli:
         assert data["sign_flag"] == 0
         assert data["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
 
-    def test_tiny_budget_env_skips(self, monkeypatch, capsys):
+    def test_tiny_term_budget_skips(self, monkeypatch, capsys):
         # with cold caches, as in a fresh process: Dickson's recursion asks
         # the budget about its first product
-        monkeypatch.setenv("DICKSON_TERM_BUDGET", "1")
+        monkeypatch.setattr(verify, "TERM_BUDGET", 1)
         clear_caches()
         try:
             rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",

@@ -185,7 +185,6 @@ def run_grid(src: Path) -> Optional[dict]:
     """The default grid's JSON report from the tree at src, or None when
     the child writes none."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("DICKSON_TERM_BUDGET", None)
     proc = subprocess.run([sys.executable, "-m", "dickson", "--format", "json"],
                           cwd=src, env=env, capture_output=True, text=True, timeout=300)
     try:
