@@ -397,16 +397,13 @@ def frobenius(f: Poly, e: int) -> Poly:
 
 
 def poly_pow(f: Poly, k: int) -> Poly:
-    """f**k by square and multiply, routing p-power factors of k through
-    frobenius; identical to repeated poly_mul."""
+    """f**k by square and multiply, each step a poly_mul; identical to
+    repeated poly_mul.  A p-th power is not routed through frobenius, so the
+    two can be checked against each other."""
     if k < 0:
         raise ValueError(f"exponent must be nonneg, got {k}")
     if k == 0:
         return poly_one(f.n, f.p)
-    e = 0
-    while k % f.p == 0:
-        k //= f.p
-        e += 1
     result: Optional[Poly] = None
     base = f
     while k:
@@ -416,7 +413,7 @@ def poly_pow(f: Poly, k: int) -> Poly:
         if k:
             base = poly_mul(base, base)
     assert result is not None
-    return frobenius(result, e) if e else result
+    return result
 
 
 def format_poly(f: Poly) -> str:

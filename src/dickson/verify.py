@@ -25,14 +25,18 @@ R_coef and P_coef, the same quotients in x (one body builds both), with
 the determinant route.
 
 The corollaries cor-n1..3 are the same check at i = n + k
-(_case_closed_form): the certificate at i = n + k, and the row tabulated
-for i = n + k, read in the y's by the reader the x side uses
-(steenrod._read_row), equal to the y_quotients R and P.  With the
-theorem's sign the case passes; with the plus sign of the cor-n3 row, at
-odd p, the composite misses the action by 2 (-1)**n Q_{n,0} P**p, whose
-leading monomial, the witness, comes from two brackets, so no composite is
-built in x.  A broken link or row fails the case at once, its witness
-naming the link.
+(_case_closed_form, which main calls with no row): the certificate at
+i = n + k, and the row tabulated for i = n + k, read in the y's by the
+reader the x side uses (steenrod._read_row), equal to the y_quotients R
+and P.  With the theorem's sign the case passes; with the plus sign of
+the cor-n3 row, at odd p, the composite misses the action by
+2 (-1)**n Q_{n,0} P**p, whose leading monomial, the witness, comes from
+two brackets, so no composite is built in x.  A broken link or row fails
+the case at once, its witness naming the link.
+
+Each family is one row of _FAMILIES: its check (a cor-n* check names the
+row it reads), the axes s, i and d its cases run over, and the cap on i,
+if any.  _grid expands the axes one case at a time.
 
 Reports serialize deterministically: emitting the same Report twice gives
 identical bytes, and two grid runs with the same configuration agree
@@ -45,7 +49,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._version import __version__
@@ -175,7 +179,6 @@ class _Budget:
 
 _Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
 _Check = Callable[[CaseSpec], _Outcome]
-_Coord = Tuple[Optional[int], Optional[int], Optional[int]]  # (s, i, d)
 
 
 def _guard(*polys: Poly) -> None:
@@ -298,37 +301,36 @@ def _certificate_gap(spec: CaseSpec, i: int) -> Optional[str]:
     if not _case_q0_power(spec)[0]:
         return "q0-power"
     X = y_quotient(n, s, i, p)
-    R, P, _ = _quotient_row(n, s, i, p)
+    R, P = _quotient_row(n, s, i, p)
     rhs = poly_dot([(1, poly_var(s + 1, n, p), R, 1), (-1, poly_one(n, p), P, 1)], n, p)
     return None if _compare([(X, rhs)])[0] else "free ring"
 
 
-# A row (R, P, sign) of the main form, R and P in the Dickson coordinates,
-# as a function of (n, s, i, p).
-_YRow = Callable[[int, int, int, int], Tuple[Poly, Poly, int]]
-
-
-def _quotient_row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly, int]:
-    """The main theorem's own row, read like the corollary rows: R = F(n)
-    and P = F(s), F(a) = [0..n-1 without a-1, i-1] / L_n as a y_quotient
-    (F(0) = 0), with the sign -1."""
+def _quotient_row(n: int, s: int, i: int, p: int) -> Tuple[Poly, Poly]:
+    """The main theorem's own row (R, P), its sign -1, read like the
+    corollary rows: R = F(n) and P = F(s), F(a) = [0..n-1 without a-1, i-1]
+    / L_n as a y_quotient (F(0) = 0)."""
     R, P = (y_quotient(n, a - 1, i - 1, p) if a > 0 else poly_zero(n, p) for a in (n, s))
-    return R, P, -1
+    return R, P
 
 
 def _lead(f: Poly) -> Monomial:
     return max(f.terms, key=grevlex_key)
 
 
-def _case_closed_form(spec: CaseSpec, i: int, row: _YRow) -> _Outcome:
+def _case_closed_form(spec: CaseSpec, i: int, which: Optional[str] = None) -> _Outcome:
     """st_delta(Q_{n,s}, i) against the main form
-    (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p) at the row (R, P, sign) =
-    row(n, s, i, p), decided without building the form in x.
+    (-1)**n Q_{n,0} (R**p Q_{n,s} + sign P**p), decided without building
+    the form in x.  The row (R, P, sign) is the main theorem's own
+    (_quotient_row, sign -1) when which is None, else the corollary row
+    steenrod._COROLLARY_ROWS[which], read in the Dickson coordinates
+    (steenrod._read_row with base(t) = y_t).
 
     The certificate (_certificate_gap) proves the form with the
-    y_quotients R and P and the sign -1.  So if the row's R and P are those
-    y_quotients in F_p[y], the case passes when sign = -1 mod p.  Otherwise
-    (sign +1 at odd p) the form exceeds the action by exactly
+    y_quotients R and P and the sign -1, the main theorem's row.  So if a
+    corollary row's R and P are those y_quotients in F_p[y], the case
+    passes when sign = -1 mod p.  Otherwise (sign +1 at odd p) the form
+    exceeds the action by exactly
     2 (-1)**n Q_{n,0} P**p = 2 (-1)**n (L_n P)**p / L_n, zero only where the
     bracket L_n P is.  Such a case is report-only: it passes, flagged, with
     the witness, the grevlex-largest monomial of that difference; as
@@ -341,9 +343,10 @@ def _case_closed_form(spec: CaseSpec, i: int, row: _YRow) -> _Outcome:
     """
     n, s, p = spec.n, spec.s, spec.p
     gap = _certificate_gap(spec, i)
-    if gap is None:
-        R, P, sign = row(n, s, i, p)
-        want_R, want_P, _ = _quotient_row(n, s, i, p)
+    sign = -1
+    if gap is None and which is not None:
+        R, P, sign = _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p))
+        want_R, want_P = _quotient_row(n, s, i, p)
         if not _compare([(R, want_R)])[0]:
             gap = "row R"
         elif not _compare([(P, want_P)])[0]:
@@ -357,16 +360,6 @@ def _case_closed_form(spec: CaseSpec, i: int, row: _YRow) -> _Outcome:
         top = tuple(p * a - b for a, b in zip(_lead(bracket_P), _lead(L(n, n, p))))
         return True, True, _monomial(n, p, top)
     return False, False, f"certificate link {gap} fails"
-
-
-def _case_cor(k: int) -> _Check:
-    """st_delta(Q_{n,s}, n + k) against the composite tabulated for
-    i = n + k: the row read in the Dickson coordinates (steenrod._read_row
-    with base(t) = y_t)."""
-    which = f"n+{k}"
-    return lambda spec: _case_closed_form(
-        spec, spec.n + k,
-        lambda n, s, i, p: _read_row(which, n, s, p, lambda t: poly_var(t + 1, n, p)))
 
 
 def _case_recursion(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
@@ -383,8 +376,8 @@ def _case_recursion(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
     instance, also in the box, prove the ordering's instance exactly.
     """
     n, p = spec.n, spec.p
-    box = [(prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)]
-    box += [(_prefix(n, left), 3) for left in range(n)]
+    box = chain(((prefix, e) for prefix in product(range(4), repeat=n - 1) for e in range(3)),
+                ((_prefix(n, left), 3) for left in range(n)))
     for prefix, e in box:
         ordered = tuple(sorted(prefix))
         if prefix == ordered:
@@ -439,54 +432,35 @@ def _case_q0_power(spec: CaseSpec) -> _Outcome:
     return _compare([(lhs, rhs)])
 
 
-def _each_s(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
-    return ((s, None, None) for s in s_range)
-
-
-def _each_s_i(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
-    return ((s, i, None) for s in s_range for i in range(1, i_top + 1))
-
-
-def _once(n: int, s_range: Iterable[int], i_top: int, d_max: int) -> Iterable[_Coord]:
-    return [(None, None, None)]
-
-
 class _Family(NamedTuple):
     check: _Check
-    # (n, allowed s values, top i, d_max) -> the (s, i, d) of each case at
-    # one (p, n), made lazily, so a grid is counted without being listed
-    coords: Callable[[int, Iterable[int], int, int], Iterable[_Coord]]
+    # The axes its cases run over at one (p, n), outermost first: "s" the
+    # allowed s in 0..n-1, "i" 1 up to the top i (i_max, else n + 4), "d"
+    # 0..d_max; a family with no axis has one case per (p, n).  _grid
+    # expands them lazily, so a grid is counted without being listed.
+    axes: str = ""
+    i_cap: Optional[int] = None  # the largest i is at most n + i_cap
 
 
 # The identity families, in report order.  The check lambdas look the
 # builders up when called, so rebinding a module-level name (to wrap or
-# trace it) reaches every check.
+# trace it) reaches every check.  A cor-n* check names the corollary row
+# it reads (steenrod._COROLLARY_ROWS) next to the i it reads it at.
 _FAMILIES: Dict[str, _Family] = {
-    "main": _Family(
-        lambda spec: _case_closed_form(spec, spec.i, _quotient_row),
-        _each_s_i),
+    "main": _Family(lambda spec: _case_closed_form(spec, spec.i), "si"),
     "smith-switzer": _Family(
-        lambda spec: _case_st_delta_Q(spec, spec.i, smith_switzer_value),
-        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n), d_max)),
-    "recursion": _Family(lambda spec: _compare(_case_recursion(spec)), _once),
-    "det-formula": _Family(
-        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2),
-        _each_s_i),
+        lambda spec: _case_st_delta_Q(spec, spec.i, smith_switzer_value), "si", i_cap=0),
+    "recursion": _Family(lambda spec: _compare(_case_recursion(spec))),
+    "det-formula": _Family(lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2), "si"),
     "routes-agree": _Family(
-        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2, st_delta_via_main),
-        _each_s_i),
-    "cor-n1": _Family(_case_cor(1), _each_s),
-    "cor-n2": _Family(_case_cor(2), _each_s),
-    "cor-n3": _Family(_case_cor(3), _each_s),
-    "kernel": _Family(
-        _case_kernel,
-        lambda n, s_range, i_top, d_max: _each_s_i(n, s_range, min(i_top, n + 3), d_max)),
-    "invariance": _Family(
-        lambda spec: _compare(_case_invariance(spec)), _each_s),
-    "hilbert": _Family(
-        _case_hilbert,
-        lambda n, s_range, i_top, d_max: ((None, None, d) for d in range(d_max + 1))),
-    "q0-power": _Family(_case_q0_power, _once),
+        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2, st_delta_via_main), "si"),
+    "cor-n1": _Family(lambda spec: _case_closed_form(spec, spec.n + 1, "n+1"), "s"),
+    "cor-n2": _Family(lambda spec: _case_closed_form(spec, spec.n + 2, "n+2"), "s"),
+    "cor-n3": _Family(lambda spec: _case_closed_form(spec, spec.n + 3, "n+3"), "s"),
+    "kernel": _Family(_case_kernel, "si", i_cap=3),
+    "invariance": _Family(lambda spec: _compare(_case_invariance(spec)), "s"),
+    "hilbert": _Family(_case_hilbert, "d"),
+    "q0-power": _Family(_case_q0_power),
 }
 
 THEOREMS: Tuple[str, ...] = tuple(_FAMILIES)
@@ -569,12 +543,23 @@ def _grid(config: GridConfig) -> Iterator[tuple]:
     order, made one by one: a tuple costs a fraction of a CaseSpec, so a
     grid is counted quickly without being listed."""
     for theorem in config.theorems:
+        family = _FAMILIES[theorem]
         for p, n in config.pairs:
-            s_range = range(n) if config.s_values is None else \
-                sorted({s for s in config.s_values if s < n})
-            i_top = config.i_max if config.i_max is not None else n + 4
-            for s, i, d in _FAMILIES[theorem].coords(n, s_range, i_top, config.d_max):
-                yield theorem, p, n, s, i, d, False
+            s_range: Iterable = (None,)
+            if "s" in family.axes:
+                s_range = range(n) if config.s_values is None else \
+                    sorted({s for s in config.s_values if s < n})
+            i_range: Iterable = (None,)
+            if "i" in family.axes:
+                i_top = config.i_max if config.i_max is not None else n + 4
+                if family.i_cap is not None:
+                    i_top = min(i_top, n + family.i_cap)
+                i_range = range(1, i_top + 1)
+            d_range = range(config.d_max + 1) if "d" in family.axes else (None,)
+            for s in s_range:
+                for i in i_range:
+                    for d in d_range:
+                        yield theorem, p, n, s, i, d, False
     if config.inject_failure:
         p, n = config.pairs[0]
         yield "q0-power", p, n, None, None, None, True
@@ -631,31 +616,27 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = [
-        f"identity verification, version {report.version}",
-        f"sign flag {report.sign_flag:+d}, seed {report.seed}",
-        "",
-        f"{'theorem':<14} {'p':>3} {'n':>2} {'s':>2} {'i':>2} {'d':>3}  "
-        f"{'status':<6} {'ms':>9}  witness",
-    ]
 
     def cell(v) -> str:
         return "-" if v is None else str(v)
 
-    for c in report.cases:
-        if c.skipped:
-            status = "skip"
-        elif not c.passed:
-            status = "FAIL"
-        elif c.flagged:
-            status = "flag"
-        else:
-            status = "pass"
-        lines.append(
-            f"{c.spec.theorem:<14} {c.spec.p:>3} {c.spec.n:>2} "
-            f"{cell(c.spec.s):>2} {cell(c.spec.i):>2} {cell(c.spec.d):>3}  "
-            f"{status:<6} {c.elapsed_ms:>9.3f}  {c.witness or c.skip_reason or ''}".rstrip()
-        )
+    rows = [("theorem", "p", "n", "s", "i", "d", "status", "ms", "witness")]
+    rows += [(c.spec.theorem, *map(cell, (c.spec.p, c.spec.n, c.spec.s, c.spec.i, c.spec.d)),
+              "skip" if c.skipped else "FAIL" if not c.passed else "flag" if c.flagged
+              else "pass", f"{c.elapsed_ms:.3f}", c.witness or c.skip_reason or "")
+             for c in report.cases]
+    # each column as wide as its longest cell, and at least as wide as these
+    widths = [max(w, *(len(row[k]) for row in rows))
+              for k, w in enumerate((14, 3, 2, 2, 2, 3, 6, 9))]
+    lines = [
+        f"identity verification, version {report.version}",
+        f"sign flag {report.sign_flag:+d}, seed {report.seed}",
+        "",
+    ]
+    for row in rows:
+        theorem, p, n, s, i, d, status, ms = (
+            f"{v:{align}{w}}" for v, align, w in zip(row, "<>>>>><>", widths))
+        lines.append(f"{theorem} {p} {n} {s} {i} {d}  {status} {ms}  {row[-1]}".rstrip())
     summary = report.summary
     flagged = sum(1 for c in report.cases if c.flagged)
     lines += [

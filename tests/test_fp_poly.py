@@ -492,6 +492,21 @@ class TestFrobeniusAndPow:
                 assert poly_pow(f, k) == acc
                 acc = poly_mul(acc, f)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pow_never_calls_frobenius(self, p, monkeypatch):
+        # a p-th power is formed by square and multiply, so comparing
+        # poly_pow with frobenius compares two routes, not one with itself
+        import dickson.fp_poly as fp_poly
+
+        def refuse(*args):
+            raise AssertionError("poly_pow went through frobenius")
+
+        monkeypatch.setattr(fp_poly, "frobenius", refuse)
+        rng = random.Random(p)
+        for _ in range(5):
+            f = rand_poly(rng, 2, p, max_exp=3)
+            assert poly_pow(f, p ** 2) == scaled(f, p ** 2)
+
     def test_pow_asks_the_case_budget(self, refused):
         # f**4 squares f first, and the budget refuses that square
         f = parse_poly("x1 + x2 + 1", 2, 3)

@@ -445,6 +445,17 @@ class TestRunCase:
         assert r.skip_reason == "time budget exceeded"
         assert case_budget.get() is None
 
+    def test_the_recursion_box_stops_at_the_time_budget(self):
+        # at n = 13 the box holds 3 * 4**12 + 13 instances: listed before
+        # the first check, they run out of the 1.5 GB cap long after the
+        # deadline; made one by one, the deadline stops them
+        start = time.monotonic()
+        proc = run_capped("-c", "from dickson import verify as v; v.TIME_BUDGET = 2.0; "
+                          "print(v.run_case(v.CaseSpec('recursion', 2, 13)).skip_reason)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "time budget exceeded\n"
+        assert time.monotonic() - start < 20
+
     def test_hilbert_has_no_size_limit_of_its_own(self):
         # 324,632 monomials of degree 30 in six variables, counted in 1,206 rows
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=6, d=30))
@@ -849,6 +860,19 @@ class TestReports:
         assert lines[1] == "sign flag +1, seed 0"
         assert any(" FAIL " in line and line.endswith("1") for line in lines)
         assert lines[-4:] == ["PASSED: 1", "FLAGGED: 0", "SKIPPED: 0", "FAILED: 1"]
+
+    @pytest.mark.parametrize("config", [
+        GridConfig(theorems=("hilbert",), pairs=((2, 1),), d_max=1000),
+        GridConfig(theorems=("q0-power",), pairs=((2147483647, 1),), inject_failure=True),
+    ], ids=["d=1000", "p=2147483647"])
+    def test_text_columns_line_up_with_the_header(self, config):
+        lines = emit_report(run_grid(config), "text").splitlines()
+        header = lines[3]
+        column = header.index("status")
+        rows = lines[4:lines.index("", 4)]
+        assert len(rows) == len(grid_cases(config))
+        for row in rows:
+            assert row[column:column + 4] in ("pass", "FAIL", "skip", "flag"), (header, row)
 
     def test_flag_status_in_text(self):
         report = run_grid(GridConfig(theorems=("cor-n3",), pairs=((3, 2),)))

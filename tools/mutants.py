@@ -151,6 +151,10 @@ MUTANTS = [
            "poly_var(t + 1, n, p), j - n) for t in range(n)], n, p)",
            "poly_var(t + 1, n, p), j - n + 1) for t in range(n)], n, p)",
            {"failed": {"main": 55, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
+    Mutant("the cor-n2 family reading the n+3 row", "verify.py",
+           '_case_closed_form(spec, spec.n + 2, "n+2")',
+           '_case_closed_form(spec, spec.n + 2, "n+3")',
+           {"failed": {"cor-n2": 11}}),
     Mutant("the flag witness read as (p - 1) lead", "verify.py",
            "top = tuple(p * a - b for a, b in",
            "top = tuple((p - 1) * a - b for a, b in",
