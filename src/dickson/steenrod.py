@@ -39,6 +39,7 @@ _read_row, in x here and in the Dickson coordinates by the harness.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .fp_poly import (
@@ -147,9 +148,11 @@ def st_delta_via_dl2(n: int, s: int, i: int, p: int) -> Poly:
                     n, p)
 
 
+@lru_cache(maxsize=None)
 def _L_pow(n: int, p: int) -> Poly:
     """L_n**(p-2): what is left of Q_{n,0} = L_n**(p-1) once one factor L_n
-    has cleared the denominator of a bracket quotient."""
+    has cleared the denominator of a bracket quotient; built at most once
+    per process."""
     return poly_pow(L(n, n, p), p - 2)
 
 

@@ -7,10 +7,11 @@ is skipped, with the reason, when a term-count or time limit is hit, or
 passes with a flag and a witness when a tabulated corollary row differs
 from the theorem in its sign alone (the i = n + 3 row, at odd p).  Every
 case has the same budget, TERM_BUDGET terms and TIME_BUDGET seconds,
-which no setting changes.  A check takes only its CaseSpec; its budget is
-fp_poly.case_budget, set by run_case.  Every two polynomials a check
-compares go through _compare, which asks that budget about each pair of
-sides before comparing it.
+which no setting changes; a case whose one monomial of n exponents is more
+words than that many terms hold skips before its check runs.  A check
+takes only its CaseSpec; its budget is fp_poly.case_budget, set by
+run_case.  Every two polynomials a check compares go through _compare,
+which asks that budget about each pair of sides before comparing it.
 
 The main theorem, st_delta(Q_{n,s}, i) = (-1)**n Q_{n,0} (R**p Q_{n,s} - P**p),
 is decided by an exact certificate (_certificate_gap): det-formula, the
@@ -23,6 +24,16 @@ ring map that commutes with Frobenius.
 routes-agree keeps the x route: it compares st_delta_via_main, built from
 R_coef and P_coef, the same quotients in x (one body builds both), with
 the determinant route.
+
+The links that several families share are decided at most once per
+process and read by each family that needs them: det-formula per
+(p, n, s, i) (_det_formula: the det-formula family, link 1 and the first
+route of routes-agree), q0-power per (p, n) (_q0_power: the q0-power
+family and link 3), besides the roots and each step of link 2.  The
+memos keep outcomes and booleans only, no image or route; a skip raises
+through them and is not kept, so the next case that needs the link tries
+it again.  L_n**(p-2) per (p, n) (steenrod._L_pow) and the kernel input
+per (p, n, s) (_kernel_base) are kept as polynomials.
 
 The corollaries cor-n1..3 are the same check at i = n + k
 (_case_closed_form, which main calls with no row): the certificate at
@@ -162,6 +173,14 @@ class _Budget:
                 raise BudgetExceeded(f"{count} terms exceed the budget {self.term_limit}")
         self.checkpoint()
 
+    def before_width(self, n: int) -> None:
+        """Stop before monomials of n exponents, n words, where the term
+        budget holds fewer: term_limit terms of one variable, at two words a
+        term, an exponent and a coefficient."""
+        if n > 2 * self.term_limit:
+            raise BudgetExceeded(f"a monomial of {n} exponents exceeds the budget "
+                                 f"{self.term_limit}, at two words a term")
+
     def checkpoint(self) -> None:
         if time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exceeded")
@@ -206,13 +225,31 @@ def _monomial(n: int, p: int, m: Monomial) -> str:
     return format_poly(Poly._make(n, p, {m: 1}))
 
 
-def _case_st_delta_Q(spec: CaseSpec, i: int, *routes) -> _Outcome:
-    """st_delta(Q_{n,s}, i) against each route(n, s, i, p) in order.  A
-    route is built only once those before it agree, so the first that
-    differs gives the witness, whatever the later ones would cost."""
+def _case_st_delta_Q(spec: CaseSpec, i: int, route) -> _Outcome:
+    """st_delta(Q_{n,s}, i) against route(n, s, i, p), guarded before the
+    route is built."""
     lhs = st_delta(dickson_Q(spec.n, spec.s, spec.p), i)
     _guard(lhs)
-    return _compare((lhs, route(spec.n, spec.s, i, spec.p)) for route in routes)
+    return _compare([(lhs, route(spec.n, spec.s, i, spec.p))])
+
+
+@lru_cache(maxsize=None)
+def _det_formula(n: int, s: int, i: int, p: int) -> _Outcome:
+    """st_delta(Q_{n,s}, i) against the determinant route st_delta_via_dl2,
+    decided at most once per process: the det-formula family, link 1 of
+    the certificate and the first route of routes-agree all read it.  A
+    skip raises, and lru_cache keeps no exception, so the next case tries
+    again."""
+    return _case_st_delta_Q(CaseSpec("det-formula", p, n, s, i), i, st_delta_via_dl2)
+
+
+def _case_routes_agree(spec: CaseSpec) -> _Outcome:
+    """The determinant route, then st_delta_via_main once it agrees, so a
+    wrong determinant route gives the witness, whatever the second route
+    would cost."""
+    n, s, i, p = spec.n, spec.s, spec.i, spec.p
+    outcome = _det_formula(n, s, i, p)
+    return _case_st_delta_Q(spec, i, st_delta_via_main) if outcome[0] else outcome
 
 
 @lru_cache(maxsize=None)
@@ -293,12 +330,12 @@ def _certificate_gap(spec: CaseSpec, i: int) -> Optional[str]:
     y, where they are small.
     """
     n, s, p = spec.n, spec.s, spec.p
-    if not _case_st_delta_Q(spec, i, st_delta_via_dl2)[0]:
+    if not _det_formula(n, s, i, p)[0]:
         return "det-formula"
     for left, top in ((s, i), (n - 1, i - 1), (s - 1, i - 1)):
         if left >= 0 and not _quotients_proven(n, left, top, p):
             return f"recursion up to [0..{n - 1} without {left}, {top}]"
-    if not _case_q0_power(spec)[0]:
+    if not _q0_power(n, p)[0]:
         return "q0-power"
     X = y_quotient(n, s, i, p)
     R, P = _quotient_row(n, s, i, p)
@@ -388,11 +425,17 @@ def _case_recursion(spec: CaseSpec) -> Iterator[Tuple[Poly, Poly]]:
             yield bracket(n, prefix + (k,), p), poly_scale(bracket(n, ordered + (k,), p), sign)
 
 
+@lru_cache(maxsize=None)
+def _kernel_base(n: int, s: int, p: int) -> Poly:
+    """Q_{n,0}**(p-1) Q_{n,s} = L_n**(p(p-2)) L(n, s), as Q_{n,0} = L_n**(p-1)
+    and Q_{n,s} L_n = L(n, s): the input of every kernel case at (p, n, s),
+    built at most once per process."""
+    return poly_dot([(1, L(n, s, p), _L_pow(n, p), 1)], n, p)
+
+
 def _case_kernel(spec: CaseSpec) -> _Outcome:
     n, s, i, p = spec.n, spec.s, spec.i, spec.p
-    # Q_{n,0}**(p-1) Q_{n,s} = L_n**(p(p-2)) L(n, s), as Q_{n,0} = L_n**(p-1)
-    # and Q_{n,s} L_n = L(n, s).
-    base = poly_dot([(1, L(n, s, p), _L_pow(n, p), 1)], n, p)
+    base = _kernel_base(n, s, p)
     _guard(base)
     once = st_delta(base, i)
     _guard(once)
@@ -423,13 +466,25 @@ def _case_hilbert(spec: CaseSpec) -> _Outcome:
     return False, False, f"degree {spec.d}: dimension {dim} vs series {expected}"
 
 
+def _q0_sides(n: int, p: int) -> Tuple[Poly, Poly]:
+    return dickson_Q(n, 0, p), poly_pow(L(n, n, p), p - 1)
+
+
+@lru_cache(maxsize=None)
+def _q0_power(n: int, p: int) -> _Outcome:
+    """Q_{n,0} = L_n**(p-1), decided at most once per process: the q0-power
+    family and link 3 of the certificate read it."""
+    return _compare([_q0_sides(n, p)])
+
+
 def _case_q0_power(spec: CaseSpec) -> _Outcome:
+    """The memoized outcome, except for the injected case, whose right side
+    is off by 1: it is compared on its own and never read or memoized."""
     n, p = spec.n, spec.p
-    lhs = dickson_Q(n, 0, p)
-    rhs = poly_pow(L(n, n, p), p - 1)
-    if spec.perturb:
-        rhs = poly_add(rhs, poly_const(1, n, p))
-    return _compare([(lhs, rhs)])
+    if not spec.perturb:
+        return _q0_power(n, p)
+    lhs, rhs = _q0_sides(n, p)
+    return _compare([(lhs, poly_add(rhs, poly_const(1, n, p)))])
 
 
 class _Family(NamedTuple):
@@ -451,9 +506,8 @@ _FAMILIES: Dict[str, _Family] = {
     "smith-switzer": _Family(
         lambda spec: _case_st_delta_Q(spec, spec.i, smith_switzer_value), "si", i_cap=0),
     "recursion": _Family(lambda spec: _compare(_case_recursion(spec))),
-    "det-formula": _Family(lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2), "si"),
-    "routes-agree": _Family(
-        lambda spec: _case_st_delta_Q(spec, spec.i, st_delta_via_dl2, st_delta_via_main), "si"),
+    "det-formula": _Family(lambda spec: _det_formula(spec.n, spec.s, spec.i, spec.p), "si"),
+    "routes-agree": _Family(_case_routes_agree, "si"),
     "cor-n1": _Family(lambda spec: _case_closed_form(spec, spec.n + 1, "n+1"), "s"),
     "cor-n2": _Family(lambda spec: _case_closed_form(spec, spec.n + 2, "n+2"), "s"),
     "cor-n3": _Family(lambda spec: _case_closed_form(spec, spec.n + 3, "n+3"), "s"),
@@ -512,14 +566,17 @@ def run_case(spec: CaseSpec) -> CaseResult:
     (RecursionError, as a count of invariants at large n).  While the case
     runs, its budget is fp_poly.case_budget, so every product stops before
     it would break the term budget, and every product and dimension count
-    at the deadline while it runs."""
+    at the deadline while it runs.  Before the check, the budget is asked
+    about the width of one monomial, n exponents."""
     family = _FAMILIES.get(spec.theorem)
     if family is None:
         raise ValueError(f"unknown theorem {spec.theorem!r}")
-    token = case_budget.set(_Budget(TERM_BUDGET, TIME_BUDGET))
+    budget = _Budget(TERM_BUDGET, TIME_BUDGET)
+    token = case_budget.set(budget)
     start = time.perf_counter()
     skip_reason = None
     try:
+        budget.before_width(spec.n)
         passed, flagged, witness = family.check(spec)
     except (BudgetExceeded, OverflowError, MemoryError, RecursionError) as exc:
         passed, flagged, witness = False, False, None

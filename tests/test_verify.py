@@ -302,7 +302,11 @@ class TestRunCase:
         main_route = steenrod.st_delta_via_main
         monkeypatch.setattr(verify, "st_delta_via_main",
                             lambda *args: calls.append(args) or main_route(*args))
-        r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=4))
+        clear_memos()
+        try:
+            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=4))
+        finally:
+            clear_memos()
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "1"
         assert calls == []
@@ -317,11 +321,13 @@ class TestRunCase:
         monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
         R_coef.cache_clear()
         P_coef.cache_clear()
+        clear_memos()
         try:
             r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
         finally:
             R_coef.cache_clear()
             P_coef.cache_clear()
+            clear_memos()
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.skip_reason is None and r.witness == "1"
 
@@ -444,6 +450,18 @@ class TestRunCase:
         assert (r.passed, r.skipped) == (False, True)
         assert r.skip_reason == "time budget exceeded"
         assert case_budget.get() is None
+
+    def test_a_monomial_wider_than_the_budget_skips_at_once(self):
+        # q0-power at n = 10**8: one monomial of the case is 10**8 exponents,
+        # more words than the budget's terms hold, so it skips before the
+        # Dickson row builds its first variable
+        start = time.monotonic()
+        proc = run_capped("-c", "from dickson import verify as v; "
+                          "print(v.run_case(v.CaseSpec('q0-power', 2, 10 ** 8)).skip_reason)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("a monomial of 100000000 exponents exceeds the budget "
+                               "10000000, at two words a term\n")
+        assert time.monotonic() - start < 2
 
     def test_the_recursion_box_stops_at_the_time_budget(self):
         # at n = 13 the box holds 3 * 4**12 + 13 instances: listed before
@@ -627,7 +645,11 @@ class TestMainCertificate:
         name, corrupt = self.CORRUPTIONS[link]
         monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
         refuse_x_route(monkeypatch)
-        report = run_grid(GridConfig(theorems=("main",), pairs=((2, 2), (3, 2), (5, 2))))
+        clear_memos()
+        try:
+            report = run_grid(GridConfig(theorems=("main",), pairs=((2, 2), (3, 2), (5, 2))))
+        finally:
+            clear_memos()
         cases = [c for c in report.cases if c.spec.i >= c.spec.n]
         assert cases and not any(c.passed or c.skipped for c in cases)
         for c in cases:
@@ -654,9 +676,73 @@ class TestMainCertificate:
         wrong = lambda n, s, i, p: fp_poly.poly_zero(n, p)
         monkeypatch.setattr(verify, "st_delta_via_dl2", wrong)
         monkeypatch.setattr(verify, "st_delta_via_main", wrong)
-        r = run_case(CaseSpec("main", 3, 2, s=1, i=4))
+        clear_memos()
+        try:
+            r = run_case(CaseSpec("main", 3, 2, s=1, i=4))
+        finally:
+            clear_memos()
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link det-formula fails"
+
+
+class TestMemos:
+    def test_each_det_formula_point_is_decided_once_for_every_family(self, monkeypatch):
+        # the determinant route wrong at (n, s, i) = (2, 1, 3) alone: the
+        # cases at that point fail, each family with its own witness, and
+        # each point's route is built once for all four families
+        real = steenrod.st_delta_via_dl2
+        seen = []
+
+        def dl2(n, s, i, p):
+            seen.append((n, s, i, p))
+            f = real(n, s, i, p)
+            return plus_one(f) if (n, s, i) == (2, 1, 3) else f
+
+        monkeypatch.setattr(verify, "st_delta_via_dl2", dl2)
+        clear_memos()
+        try:
+            report = run_grid(GridConfig(
+                theorems=("main", "det-formula", "routes-agree", "cor-n1"), pairs=((3, 2),)))
+        finally:
+            clear_memos()
+        link = "certificate link det-formula fails"
+        assert not any(c.skipped for c in report.cases)
+        assert {(c.spec.theorem, c.spec.s, c.spec.i, c.witness)
+                for c in report.cases if not c.passed} == {
+            ("main", 1, 3, link), ("det-formula", 1, 3, "1"), ("routes-agree", 1, 3, "1"),
+            ("cor-n1", 1, None, link)}
+        assert sorted(seen) == [(2, s, i, 3) for s in range(2) for i in range(1, 7)]
+
+    def test_a_budget_skip_is_not_memoized(self, monkeypatch):
+        spec = CaseSpec("det-formula", 3, 2, s=1, i=4)
+        default = verify.TERM_BUDGET
+        clear_memos()
+        try:
+            monkeypatch.setattr(verify, "TERM_BUDGET", 1)
+            skipped = run_case(spec)
+            monkeypatch.setattr(verify, "TERM_BUDGET", default)
+            rerun = run_case(spec)
+        finally:
+            clear_memos()
+        assert (skipped.passed, skipped.skipped) == (False, True)
+        assert (rerun.passed, rerun.skipped) == (True, False)
+
+    def test_cold_and_warm_memos_give_one_report(self):
+        # every family at (3, 2), and an exponent overflow that skips inside
+        # the determinant memo at i = 28..30
+        configs = (GridConfig(pairs=((3, 2),)),
+                   GridConfig(theorems=("main", "det-formula", "routes-agree"),
+                              pairs=((5, 1),), i_max=30))
+
+        def reports():
+            return [strip_timing(report_to_dict(run_grid(config))) for config in configs]
+
+        clear_memos()
+        cold = reports()
+        assert reports() == cold
+        reasons = [c.get("skip_reason") for report in cold for c in report["cases"]]
+        assert sorted(filter(None, reasons)) == sorted(
+            f"p**{i} exceeds 2**63" for i in (28, 29, 30) for _ in range(3))
 
 
 # The cor-n* cases of perfbench's stretch-closed workload, as (p, n, families).
@@ -683,10 +769,20 @@ def x_route(spec):
     return passed, flagged, witness
 
 
+MEMOS = (verify._det_formula, verify._q0_power, verify._kernel_base, steenrod._L_pow)
+
+
+def clear_memos():
+    """Forget the links decided once per process, so a patched route or
+    builder is read again."""
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
 def clear_caches():
     for cached in (verify._step_holds, verify._roots_hold, invariants.y_quotient,
                    invariants.bracket, invariants.dickson_Q, invariants._dickson_row,
-                   invariants.R_coef, invariants.P_coef):
+                   invariants.R_coef, invariants.P_coef, *MEMOS):
         cached.cache_clear()
 
 
