@@ -335,7 +335,7 @@ def _certificate_gap(spec: CaseSpec, i: int) -> Optional[str]:
     for left, top in ((s, i), (n - 1, i - 1), (s - 1, i - 1)):
         if left >= 0 and not _quotients_proven(n, left, top, p):
             return f"recursion up to [0..{n - 1} without {left}, {top}]"
-    if not _q0_power(n, p)[0]:
+    if not _q0_power(n, p, False)[0]:
         return "q0-power"
     X = y_quotient(n, s, i, p)
     R, P = _quotient_row(n, s, i, p)
@@ -466,25 +466,13 @@ def _case_hilbert(spec: CaseSpec) -> _Outcome:
     return False, False, f"degree {spec.d}: dimension {dim} vs series {expected}"
 
 
-def _q0_sides(n: int, p: int) -> Tuple[Poly, Poly]:
-    return dickson_Q(n, 0, p), poly_pow(L(n, n, p), p - 1)
-
-
 @lru_cache(maxsize=None)
-def _q0_power(n: int, p: int) -> _Outcome:
+def _q0_power(n: int, p: int, perturb: bool) -> _Outcome:
     """Q_{n,0} = L_n**(p-1), decided at most once per process: the q0-power
-    family and link 3 of the certificate read it."""
-    return _compare([_q0_sides(n, p)])
-
-
-def _case_q0_power(spec: CaseSpec) -> _Outcome:
-    """The memoized outcome, except for the injected case, whose right side
-    is off by 1: it is compared on its own and never read or memoized."""
-    n, p = spec.n, spec.p
-    if not spec.perturb:
-        return _q0_power(n, p)
-    lhs, rhs = _q0_sides(n, p)
-    return _compare([(lhs, poly_add(rhs, poly_const(1, n, p)))])
+    family and link 3 (perturb False) read it.  Q_{n,0} is built first.
+    With perturb, the injected case, the right side is off by 1."""
+    lhs, rhs = dickson_Q(n, 0, p), poly_pow(L(n, n, p), p - 1)
+    return _compare([(lhs, poly_add(rhs, poly_const(1, n, p)) if perturb else rhs)])
 
 
 class _Family(NamedTuple):
@@ -514,7 +502,7 @@ _FAMILIES: Dict[str, _Family] = {
     "kernel": _Family(_case_kernel, "si", i_cap=3),
     "invariance": _Family(lambda spec: _compare(_case_invariance(spec)), "s"),
     "hilbert": _Family(_case_hilbert, "d"),
-    "q0-power": _Family(_case_q0_power),
+    "q0-power": _Family(lambda spec: _q0_power(spec.n, spec.p, spec.perturb)),
 }
 
 THEOREMS: Tuple[str, ...] = tuple(_FAMILIES)

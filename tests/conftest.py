@@ -7,6 +7,28 @@ import pytest
 from dickson import fp_poly
 
 
+def _dickson_modules():
+    return [module for name, module in list(sys.modules.items())
+            if name == "dickson" or name.startswith("dickson.")]
+
+
+# Every lru_cache bound in a dickson module, each once, found at import.
+CACHES = tuple({id(obj): obj for module in _dickson_modules()
+                for obj in vars(module).values() if hasattr(obj, "cache_clear")}.values())
+
+
+@pytest.fixture
+def cold():
+    """Every dickson cache empty before the test and after it: a patched
+    budget, route or builder is read, not hidden by an earlier outcome,
+    and no outcome decided under the patch outlives the test."""
+    for cache in CACHES:
+        cache.cache_clear()
+    yield CACHES
+    for cache in CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def dot_spy(monkeypatch):
     """Spy on poly_dot, the one product kernel, in every dickson module
@@ -25,9 +47,8 @@ def dot_spy(monkeypatch):
         seen.widths.append(len(result.terms))
         return result
 
-    for name, module in list(sys.modules.items()):
-        if (name == "dickson" or name.startswith("dickson.")) \
-                and getattr(module, "poly_dot", None) is real:
+    for module in _dickson_modules():
+        if getattr(module, "poly_dot", None) is real:
             monkeypatch.setattr(module, "poly_dot", spy)
     return seen
 

@@ -144,7 +144,7 @@ class TestBracket:
         with pytest.raises(OverflowError, match=r"p\*\*63 exceeds"):
             bracket(1, (63,), 2)
 
-    def test_asks_the_case_budget_before_building(self, monkeypatch):
+    def test_asks_the_case_budget_before_building(self, monkeypatch, cold):
         # the n! terms are asked about before the permutations are read; a
         # zero bracket (a repeated row) builds no term and asks nothing
         asked = []
@@ -229,7 +229,7 @@ def at_Q(f, p):
 
 
 class TestDicksonQRow:
-    def test_one_recursion_per_pair(self, monkeypatch):
+    def test_one_recursion_per_pair(self, monkeypatch, cold):
         # all n invariants of a (p, n) come from one run of the recursion
         row = invariants._dickson_row.__wrapped__
         built = []

@@ -387,12 +387,11 @@ class TestCorollaryForms:
             for i in range(1, n + 4):
                 assert poly_mul(L(n, n, p), P_coef(n, i, s, p)) == _P_bracket(n, i, s, p)
 
-    def test_kernel_form_divides_nothing(self, dot_spy):
+    def test_kernel_form_divides_nothing(self, cold, dot_spy):
         # L_n P is a bracket, so the kernel form needs no quotient.  Built
         # from P_coef(4, 7, 3, 2) at (p, n, s, i) = (2, 4, 3, 7), it would
         # spend 210,480 term pairs multiplying its 8,770 terms back by the
         # 24-term L_4.
-        P_coef.cache_clear()
         corollary_rhs("kernel", 4, 3, 2, i=7)
         corollary_rhs("kernel", 3, 2, 3, i=6)
         assert dot_spy.pairs and sum(dot_spy.pairs) < 1_000
@@ -410,7 +409,7 @@ class TestCorollaryForms:
         assert not any(c.flagged for c in report.cases)
 
     @pytest.mark.parametrize("p,n", FORM_PAIRS)
-    def test_kernel_input_is_the_q_product(self, p, n, monkeypatch):
+    def test_kernel_input_is_the_q_product(self, p, n, monkeypatch, cold):
         # The kernel family's input, caught as the first argument it hands to
         # st_delta, is Q_{n,0}**(p-1) Q_{n,s}.
         seen = []

@@ -14,7 +14,7 @@ import pytest
 from dickson import cli, fp_poly, invariants, steenrod, verify
 from dickson.cli import main
 from dickson.fp_poly import Poly, case_budget, grevlex_key, parse_poly, poly_mul, poly_scale
-from dickson.invariants import P_coef, R_coef, recursion_rhs
+from dickson.invariants import recursion_rhs
 from dickson.verify import (
     CaseSpec,
     GridConfig,
@@ -95,7 +95,7 @@ class TestGridCases:
         b = grid_cases(GridConfig(seed=3))
         assert a == b
 
-    def test_recursion_is_exhaustive_and_seed_free(self, monkeypatch):
+    def test_recursion_is_exhaustive_and_seed_free(self, monkeypatch, cold):
         # the (2,3) box: prefix entries 0..3 and e <= 2, 48 instances, and
         # the e = 3 instances of the prefixes 0..2 with one entry left out,
         # which R_coef and P_coef use at i = n + 4.  Each nondecreasing
@@ -137,7 +137,7 @@ class TestGridCases:
     # p = 3 on purpose: at p = 2 the sign of an ordering is 1 mod 2, so a
     # negated row there still equals its sorted row and the (2,3) case, the
     # default grid's only one with n >= 3, would pass.
-    def test_recursion_fails_on_one_negated_ordering_row(self, monkeypatch):
+    def test_recursion_fails_on_one_negated_ordering_row(self, monkeypatch, cold):
         def negated(n, es, p):
             row = invariants.bracket(n, es, p)
             return -row if es == (1, 0, 2) else row
@@ -147,7 +147,7 @@ class TestGridCases:
         assert not result.passed and not result.skipped
         assert result.witness == "x1^9*x2^3*x3"
 
-    def test_recursion_fails_on_one_wrong_sorted_sum(self, monkeypatch):
+    def test_recursion_fails_on_one_wrong_sorted_sum(self, monkeypatch, cold):
         def scaled(n, prefix, e, p):
             rhs = recursion_rhs(n, prefix, e, p)
             return poly_scale(rhs, 2) if (prefix, e) == ((0, 2), 1) else rhs
@@ -246,19 +246,14 @@ class TestRunCase:
         assert not r.passed and not r.skipped
         assert r.witness == "1"
 
-    def test_term_budget_skips(self, monkeypatch):
-        # with cold caches, Dickson's recursion building Q_{2,0} asks the
-        # budget about its first product
+    def test_term_budget_skips(self, monkeypatch, cold):
+        # Dickson's recursion building Q_{2,0} asks the budget about its first product
         monkeypatch.setattr(verify, "TERM_BUDGET", 1)
-        clear_caches()
-        try:
-            r = run_case(CaseSpec(theorem="q0-power", p=2, n=2))
-        finally:
-            clear_caches()
+        r = run_case(CaseSpec(theorem="q0-power", p=2, n=2))
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 2 by 1 terms exceeds the budget 1"
 
-    def test_term_budget_skips_on_warm_caches(self, monkeypatch):
+    def test_term_budget_skips_on_warm_caches(self, monkeypatch, cold):
         # with Q_{2,0} and L_2 cached, the case builds nothing, and the
         # guard on its two 2-term sides refuses it
         invariants.dickson_Q(2, 0, 2)
@@ -268,31 +263,25 @@ class TestRunCase:
         assert r.skipped and not r.passed
         assert r.skip_reason == "2 terms exceed the budget 1"
 
-    def test_time_budget_skips(self, monkeypatch):
+    def test_time_budget_skips(self, monkeypatch, cold):
         monkeypatch.setattr(verify, "TIME_BUDGET", 0.0)
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=20))
         assert r.skipped
         assert r.skip_reason == "time budget exceeded"
 
-    def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch, dot_spy):
+    def test_quotient_recursion_stops_before_a_wide_product(self, monkeypatch, cold, dot_spy):
         # R_coef(2, 15, 3) would build a 2,391,484-term quotient; under a
         # budget of 10**6 the recursion stops before any product has more
         # term pairs than that.  routes-agree builds it through
         # st_delta_via_main; main decides the case by its certificate (below)
         monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
-        R_coef.cache_clear()
-        P_coef.cache_clear()
-        try:
-            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
-        finally:
-            R_coef.cache_clear()
-            P_coef.cache_clear()
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
         assert case_budget.get() is None
 
-    def test_routes_are_built_only_after_the_earlier_ones_agree(self, monkeypatch):
+    def test_routes_are_built_only_after_the_earlier_ones_agree(self, monkeypatch, cold):
         # a wrong determinant route fails routes-agree with its own witness,
         # and the closed form in x, the second route, is never built
         dl2 = steenrod.st_delta_via_dl2
@@ -302,16 +291,12 @@ class TestRunCase:
         main_route = steenrod.st_delta_via_main
         monkeypatch.setattr(verify, "st_delta_via_main",
                             lambda *args: calls.append(args) or main_route(*args))
-        clear_memos()
-        try:
-            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=4))
-        finally:
-            clear_memos()
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=4))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "1"
         assert calls == []
 
-    def test_a_wrong_first_route_fails_where_the_second_would_skip(self, monkeypatch):
+    def test_a_wrong_first_route_fails_where_the_second_would_skip(self, monkeypatch, cold):
         # the case of test_quotient_recursion_stops_before_a_wide_product,
         # with a wrong determinant route: it fails before st_delta_via_main
         # reaches the product the budget refuses
@@ -319,19 +304,11 @@ class TestRunCase:
         monkeypatch.setattr(verify, "st_delta_via_dl2",
                             lambda n, s, i, p: plus_one(dl2(n, s, i, p)))
         monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
-        R_coef.cache_clear()
-        P_coef.cache_clear()
-        clear_memos()
-        try:
-            r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
-        finally:
-            R_coef.cache_clear()
-            P_coef.cache_clear()
-            clear_memos()
+        r = run_case(CaseSpec("routes-agree", 3, 2, s=1, i=15))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.skip_reason is None and r.witness == "1"
 
-    def test_main_form_stops_before_a_wide_product(self, monkeypatch):
+    def test_main_form_stops_before_a_wide_product(self, monkeypatch, cold):
         # with the first term of the n+3 row's Rhat dropped, cor-n3 at
         # (5,3,1) fails on the row check, at the default budget: read in x,
         # that row's main form would end in a product of 54 by 171,348 terms
@@ -343,7 +320,7 @@ class TestRunCase:
         assert r.witness == "certificate link row R fails"
         assert case_budget.get() is None
 
-    def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, dot_spy):
+    def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, cold, dot_spy):
         # the same broken row under a budget of 500,000 term pairs, which the
         # row read in x would exceed (599,634): the case fails on its link,
         # not skips, and no product it forms comes near the budget
@@ -357,23 +334,17 @@ class TestRunCase:
         assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
         assert case_budget.get() is None
 
-    def test_dickson_recursion_stops_before_a_wide_product(self, monkeypatch, dot_spy):
+    def test_dickson_recursion_stops_before_a_wide_product(self, monkeypatch, cold, dot_spy):
         # q0-power builds Q_{5,0} by Dickson's recursion, whose products
         # ask the budget like every other product
         monkeypatch.setattr(verify, "TERM_BUDGET", 1000)
-        invariants._dickson_row.cache_clear()
-        invariants.dickson_Q.cache_clear()
-        try:
-            r = run_case(CaseSpec("q0-power", 2, 5))
-        finally:
-            invariants._dickson_row.cache_clear()
-            invariants.dickson_Q.cache_clear()
+        r = run_case(CaseSpec("q0-power", 2, 5))
         assert r.skipped and not r.passed
         assert r.skip_reason.startswith("a product of ")
         assert dot_spy.pairs and max(dot_spy.pairs) <= 1000
         assert case_budget.get() is None
 
-    def test_main_form_skips_on_R_by_its_own_term_count(self, monkeypatch):
+    def test_main_form_skips_on_R_by_its_own_term_count(self, monkeypatch, cold):
         # routes-agree at (3,2,0,12): R_coef(2, 12, 3) has 88,573 terms and
         # its recursion products stay under 150,000 term pairs; the main
         # form's product of L(2, 0) by R**p is refused before R**p is formed
@@ -382,7 +353,7 @@ class TestRunCase:
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 2 by 88573 terms exceeds the budget 150000"
 
-    def test_a_bracket_stops_before_its_terms(self, monkeypatch):
+    def test_a_bracket_stops_before_its_terms(self, monkeypatch, cold):
         # kernel at (2, 8) starts from L(8, 0), 8! = 40,320 terms, refused
         # before the permutations behind them are enumerated
         def unread(n):
@@ -395,7 +366,7 @@ class TestRunCase:
         assert r.skip_reason == "40320 terms exceed the budget 10000"
         assert case_budget.get() is None
 
-    def test_out_of_memory_skips(self, monkeypatch):
+    def test_out_of_memory_skips(self, monkeypatch, cold):
         def exhausted(n, s, p):
             raise MemoryError()
 
@@ -405,7 +376,7 @@ class TestRunCase:
         assert r.skip_reason == "out of memory"
         assert case_budget.get() is None
 
-    def test_main_passes_where_the_x_route_runs_over_budget(self, monkeypatch):
+    def test_main_passes_where_the_x_route_runs_over_budget(self, monkeypatch, cold):
         # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
         monkeypatch.setattr(verify, "TERM_BUDGET", 10 ** 6)
         r = run_case(CaseSpec("main", 3, 2, s=1, i=15))
@@ -413,7 +384,7 @@ class TestRunCase:
 
     @pytest.mark.parametrize("p,n,s", [(2, 3, 1), (3, 3, 1), (5, 3, 2), (3, 2, 0), (2, 4, 2)])
     def test_invariance_fails_a_changed_Q_with_the_substitution_witness(
-            self, monkeypatch, p, n, s):
+            self, monkeypatch, cold, p, n, s):
         # One coefficient of Q_{n,s} changed, and L(n, s) with it, so that
         # the product check holds and the generators decide.  The witness is
         # the one the general substitution gives: the grevlex-largest
@@ -441,7 +412,7 @@ class TestRunCase:
         r = run_case(CaseSpec(theorem="hilbert", p=3, n=4, d=54))
         assert r.passed and not r.skipped
 
-    def test_a_long_dimension_count_stops_at_the_time_budget(self, monkeypatch):
+    def test_a_long_dimension_count_stops_at_the_time_budget(self, monkeypatch, cold):
         # the count alone runs over 20 s; the deadline stops it
         monkeypatch.setattr(verify, "TIME_BUDGET", 0.5)
         start = time.monotonic()
@@ -541,7 +512,7 @@ class TestMainCertificate:
             assert (gap is None) == x_passed, spec
             assert gap is None
 
-    def test_main_builds_no_x_quotient(self, monkeypatch):
+    def test_main_builds_no_x_quotient(self, monkeypatch, cold):
         # R and P stay in the Dickson coordinates
         def refuse(*args):
             raise AssertionError("x quotient built")
@@ -553,7 +524,7 @@ class TestMainCertificate:
         report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (2, 3))))
         assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
 
-    def test_each_step_and_the_roots_are_checked_once(self, monkeypatch):
+    def test_each_step_and_the_roots_are_checked_once(self, monkeypatch, cold):
         # link 2 states no bracket recursion instance: two runs evaluate
         # each step of the induction once and the roots of Dickson's
         # polynomial once for (n, p) = (2, 5)
@@ -580,7 +551,7 @@ class TestMainCertificate:
         assert calls["_roots_hold"] == [(2, 5)]
 
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4)])
-    def test_the_roots_fail_without_any_one_term_of_a_Q(self, monkeypatch, p, n):
+    def test_the_roots_fail_without_any_one_term_of_a_Q(self, monkeypatch, cold, p, n):
         real = verify.dickson_Q
         for t in range(n):
             q = real(n, t, p)
@@ -591,22 +562,18 @@ class TestMainCertificate:
                 assert not verify._roots_hold.__wrapped__(n, p), (t, m)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_the_root_at_x1_is_checked(self, monkeypatch, p):
+    def test_the_root_at_x1_is_checked(self, monkeypatch, cold, p):
         # Q_0 = 0 and Q_1 = x2**(p(p-1)): f(X) = X**(p**2) - x2**(p**2-p) X**p
         # vanishes at x2 but not at x1
         fake = (Poly(2, p, {}), Poly(2, p, {(0, p * (p - 1)): 1}), Poly(2, p, {(0, 0): 1}))
         monkeypatch.setattr(verify, "dickson_Q", lambda n, t, p_: fake[t])
-        verify._roots_hold.cache_clear()
-        try:
-            assert not verify._roots_hold(2, p)
-        finally:
-            verify._roots_hold.cache_clear()
+        assert not verify._roots_hold(2, p)
 
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (2, 5), (5, 3)])
     def test_the_roots_hold(self, p, n):
         assert verify._roots_hold.__wrapped__(n, p)
 
-    def test_a_wiring_fault_in_the_quotient_builder_fails_link_2(self, monkeypatch):
+    def test_a_wiring_fault_in_the_quotient_builder_fails_link_2(self, monkeypatch, cold):
         # the builder's recursion with Frobenius index j - n + 1 above n:
         # the y-recursion that link 2 states on its own tells it apart
         real = invariants._quotient
@@ -617,15 +584,11 @@ class TestMainCertificate:
             return invariants._recursion_sum(
                 n, j - n + 1, p, [lower(j - n + t) for t in range(n)], base)
 
-        clear_caches()
         monkeypatch.setattr(invariants, "_quotient", shifted)
-        try:
-            specs = [spec for spec in grid_cases(GridConfig(
-                theorems=("main",), pairs=((2, 2), (3, 2), (5, 2)))) if spec.i >= spec.n]
-            with budget():
-                gaps = [verify._certificate_gap(spec, spec.i) for spec in specs]
-        finally:
-            clear_caches()
+        specs = [spec for spec in grid_cases(GridConfig(
+            theorems=("main",), pairs=((2, 2), (3, 2), (5, 2)))) if spec.i >= spec.n]
+        with budget():
+            gaps = [verify._certificate_gap(spec, spec.i) for spec in specs]
         assert len(specs) == 30
         assert all(gap.startswith("recursion up to ") for gap in gaps), gaps
 
@@ -636,57 +599,45 @@ class TestMainCertificate:
                         lambda real: lambda n, s, i, p: plus_one(real(n, s, i, p))),
         "recursion": ("_step_holds", lambda real: lambda n, left, j, p: j < n),
         "q0-power": ("poly_pow", lambda real: lambda f, k: plus_one(real(f, k))),
-        "free ring": ("y_quotient", lambda real: lambda n, left, j, p: (
-            plus_one(real(n, left, j, p)) if left == n - 1 else real(n, left, j, p))),
+        "free ring": ("_quotient_row", lambda real: lambda *args: (
+            plus_one(real(*args)[0]), real(*args)[1])),
     }
 
     @pytest.mark.parametrize("link", list(CORRUPTIONS))
-    def test_a_broken_link_fails_and_names_itself(self, monkeypatch, link):
+    def test_a_broken_link_fails_and_names_itself(self, monkeypatch, cold, link):
         name, corrupt = self.CORRUPTIONS[link]
         monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
         refuse_x_route(monkeypatch)
-        clear_memos()
-        try:
-            report = run_grid(GridConfig(theorems=("main",), pairs=((2, 2), (3, 2), (5, 2))))
-        finally:
-            clear_memos()
+        report = run_grid(GridConfig(theorems=("main",), pairs=((2, 2), (3, 2), (5, 2))))
         cases = [c for c in report.cases if c.spec.i >= c.spec.n]
         assert cases and not any(c.passed or c.skipped for c in cases)
         for c in cases:
             assert c.witness.startswith(f"certificate link {link}")
             assert c.witness.endswith(" fails")
 
-    def test_a_unit_multiple_of_every_quotient_fails_at_the_base(self, monkeypatch):
+    def test_a_unit_multiple_of_every_quotient_fails_at_the_base(self, monkeypatch, cold):
         # -y_quotient satisfies X = R**p y_s - P**p as well (c**p = c in
         # F_p), so only the checked base cases tell it from the quotient
         real = verify.y_quotient
         monkeypatch.setattr(verify, "y_quotient", lambda n, left, j, p: poly_scale(
             real(n, left, j, p), p - 1))
-        verify._step_holds.cache_clear()  # steps proven with the true quotients
-        try:
-            report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (5, 2))))
-        finally:
-            verify._step_holds.cache_clear()
+        report = run_grid(GridConfig(theorems=("main",), pairs=((3, 2), (5, 2))))
         assert not any(c.passed or c.skipped for c in report.cases)
         assert all(c.witness.startswith("certificate link recursion") for c in report.cases)
 
-    def test_a_broken_link_is_the_witness_where_x_differs_too(self, monkeypatch):
+    def test_a_broken_link_is_the_witness_where_x_differs_too(self, monkeypatch, cold):
         # st_delta_via_main as wrong as the determinant route: the case
         # does not look in x, and its witness is the link, not a monomial
         wrong = lambda n, s, i, p: fp_poly.poly_zero(n, p)
         monkeypatch.setattr(verify, "st_delta_via_dl2", wrong)
         monkeypatch.setattr(verify, "st_delta_via_main", wrong)
-        clear_memos()
-        try:
-            r = run_case(CaseSpec("main", 3, 2, s=1, i=4))
-        finally:
-            clear_memos()
+        r = run_case(CaseSpec("main", 3, 2, s=1, i=4))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link det-formula fails"
 
 
 class TestMemos:
-    def test_each_det_formula_point_is_decided_once_for_every_family(self, monkeypatch):
+    def test_each_det_formula_point_is_decided_once_for_every_family(self, monkeypatch, cold):
         # the determinant route wrong at (n, s, i) = (2, 1, 3) alone: the
         # cases at that point fail, each family with its own witness, and
         # each point's route is built once for all four families
@@ -699,12 +650,8 @@ class TestMemos:
             return plus_one(f) if (n, s, i) == (2, 1, 3) else f
 
         monkeypatch.setattr(verify, "st_delta_via_dl2", dl2)
-        clear_memos()
-        try:
-            report = run_grid(GridConfig(
-                theorems=("main", "det-formula", "routes-agree", "cor-n1"), pairs=((3, 2),)))
-        finally:
-            clear_memos()
+        report = run_grid(GridConfig(
+            theorems=("main", "det-formula", "routes-agree", "cor-n1"), pairs=((3, 2),)))
         link = "certificate link det-formula fails"
         assert not any(c.skipped for c in report.cases)
         assert {(c.spec.theorem, c.spec.s, c.spec.i, c.witness)
@@ -713,20 +660,16 @@ class TestMemos:
             ("cor-n1", 1, None, link)}
         assert sorted(seen) == [(2, s, i, 3) for s in range(2) for i in range(1, 7)]
 
-    def test_a_budget_skip_is_not_memoized(self, monkeypatch):
+    def test_a_budget_skip_is_not_memoized(self, monkeypatch, cold):
         spec = CaseSpec("det-formula", 3, 2, s=1, i=4)
-        default = verify.TERM_BUDGET
-        clear_memos()
-        try:
-            monkeypatch.setattr(verify, "TERM_BUDGET", 1)
-            skipped = run_case(spec)
-            monkeypatch.setattr(verify, "TERM_BUDGET", default)
-            rerun = run_case(spec)
-        finally:
-            clear_memos()
+        monkeypatch.setattr(verify, "TERM_BUDGET", 1)
+        skipped = run_case(spec)
+        monkeypatch.undo()
+        rerun = run_case(spec)
         assert (skipped.passed, skipped.skipped) == (False, True)
         assert (rerun.passed, rerun.skipped) == (True, False)
 
+    @pytest.mark.usefixtures("cold")
     def test_cold_and_warm_memos_give_one_report(self):
         # every family at (3, 2), and an exponent overflow that skips inside
         # the determinant memo at i = 28..30
@@ -737,12 +680,25 @@ class TestMemos:
         def reports():
             return [strip_timing(report_to_dict(run_grid(config))) for config in configs]
 
-        clear_memos()
         cold = reports()
         assert reports() == cold
         reasons = [c.get("skip_reason") for report in cold for c in report["cases"]]
         assert sorted(filter(None, reasons)) == sorted(
             f"p**{i} exceeds 2**63" for i in (28, 29, 30) for _ in range(3))
+
+    def test_cold_clears_every_cache(self, request):
+        # cold finds every cache of src/dickson, the twelve once listed among them
+        listed = {verify._step_holds, verify._roots_hold, verify._det_formula,
+                  verify._q0_power, verify._kernel_base, steenrod._L_pow,
+                  invariants.y_quotient, invariants.bracket, invariants.dickson_Q,
+                  invariants._dickson_row, invariants.R_coef, invariants.P_coef}
+        run_grid(GridConfig(d_max=0))
+        assert all(cache.cache_info().currsize for cache in listed)
+        caches = request.getfixturevalue("cold")
+        src = Path(verify.__file__).parent
+        assert len(caches) == sum(f.read_text().count("@lru_cache") for f in src.glob("*.py"))
+        assert listed <= set(caches)
+        assert not any(cache.cache_info().currsize for cache in caches)
 
 
 # The cor-n* cases of perfbench's stretch-closed workload, as (p, n, families).
@@ -767,23 +723,6 @@ def x_route(spec):
     if spec.theorem == "cor-n3":
         return True, not passed, witness
     return passed, flagged, witness
-
-
-MEMOS = (verify._det_formula, verify._q0_power, verify._kernel_base, steenrod._L_pow)
-
-
-def clear_memos():
-    """Forget the links decided once per process, so a patched route or
-    builder is read again."""
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
-def clear_caches():
-    for cached in (verify._step_holds, verify._roots_hold, invariants.y_quotient,
-                   invariants.bracket, invariants.dickson_Q, invariants._dickson_row,
-                   invariants.R_coef, invariants.P_coef, *MEMOS):
-        cached.cache_clear()
 
 
 def drop_term(row, k, in_R):
@@ -824,19 +763,15 @@ class TestCorollaryCertificate:
         assert flags == [(3, 2, 1, "x1^240*x2^8"), (5, 2, 1, "x1^3120*x2^24"),
                          (3, 3, 1, "x1^720*x2^24*x3^8"), (3, 3, 2, "x1^720*x2^24*x3^2")]
 
-    def test_no_form_is_built_in_x(self, monkeypatch):
+    def test_no_form_is_built_in_x(self, monkeypatch, cold):
         # with cold caches, every link holds and no case assembles a composite
-        clear_caches()
         refuse_x_route(monkeypatch)
-        try:
-            report = run_grid(GridConfig(theorems=COROLLARIES))
-        finally:
-            clear_caches()
+        report = run_grid(GridConfig(theorems=COROLLARIES))
         assert report.summary == {"passed": 33, "failed": 0, "skipped": 0}
         assert [(c.spec.p, c.spec.s, c.witness) for c in report.cases if c.flagged] == [
             (3, 1, "x1^240*x2^8"), (5, 1, "x1^3120*x2^24")]
 
-    def test_a_broken_link_fails_without_the_x_route(self, monkeypatch):
+    def test_a_broken_link_fails_without_the_x_route(self, monkeypatch, cold):
         # a broken certificate fails the case, cor-n3 included: only a
         # row's sign is flagged, and the witness names the link
         refuse_x_route(monkeypatch)
@@ -849,7 +784,7 @@ class TestCorollaryCertificate:
             "certificate link recursion up to [0..1 without 0, 3] fails",
             "certificate link recursion up to [0..1 without 0, 5] fails"]
 
-    def test_a_dropped_row_term_fails_without_the_x_route(self, monkeypatch):
+    def test_a_dropped_row_term_fails_without_the_x_route(self, monkeypatch, cold):
         refuse_x_route(monkeypatch)
         monkeypatch.setitem(steenrod._COROLLARY_ROWS, "n+2",
                             drop_last_term_of_R(steenrod._COROLLARY_ROWS["n+2"]))
@@ -859,7 +794,7 @@ class TestCorollaryCertificate:
             assert (c.passed, c.skipped, c.flagged) == (False, False, False)
             assert c.witness == "certificate link row R fails"
 
-    def test_a_dropped_P_term_past_the_default_grid_fails(self, monkeypatch):
+    def test_a_dropped_P_term_past_the_default_grid_fails(self, monkeypatch, cold):
         # Q_{n,s-3}**(p**2), the first term of the n+3 row, enters P only at
         # s >= 3, which the default grid (n <= 3) never reaches.  Dropped
         # from P, it fails the row check at s = 3 alone, at the default
@@ -880,7 +815,7 @@ class TestCorollaryCertificate:
             (True, False, True, "x1^2160*x2^72*x3^24*x4^2"),
             (False, False, False, "certificate link row P fails")]
 
-    def test_every_quotient_read_is_proven(self, monkeypatch):
+    def test_every_quotient_read_is_proven(self, monkeypatch, cold):
         # link 2 proves y_quotient(n, left, j) for every j <= top at each
         # _quotients_proven(n, left, top) it calls; link 4 and the row check
         # read y_quotient only where a call of the same case proved it
@@ -1113,7 +1048,7 @@ class TestCli:
         assert all(reasons[i] is None for i in range(1, 28))
 
     def test_sign_pin_fitting_neither_convention_keeps_the_report(
-            self, monkeypatch, tmp_path, capsys):
+            self, monkeypatch, cold, tmp_path, capsys):
         # with a classical table that no sign fits, the flag reads 0, the
         # report is written and the run fails
         monkeypatch.setattr(steenrod, "smith_switzer_value",
@@ -1129,16 +1064,11 @@ class TestCli:
         assert data["sign_flag"] == 0
         assert data["summary"] == {"passed": 1, "failed": 0, "skipped": 0}
 
-    def test_tiny_term_budget_skips(self, monkeypatch, capsys):
-        # with cold caches, as in a fresh process: Dickson's recursion asks
-        # the budget about its first product
+    def test_tiny_term_budget_skips(self, monkeypatch, cold, capsys):
+        # as in a fresh process: Dickson's recursion asks about its first product
         monkeypatch.setattr(verify, "TERM_BUDGET", 1)
-        clear_caches()
-        try:
-            rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
-                       "--format", "json"])
-        finally:
-            clear_caches()
+        rc = main(["--theorem", "q0-power", "--p", "2", "--n", "2",
+                   "--format", "json"])
         assert rc == 0  # skipped cases do not fail the run
         data = json.loads(capsys.readouterr().out)
         assert data["summary"] == {"passed": 0, "failed": 0, "skipped": 1}
