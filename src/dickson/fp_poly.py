@@ -25,10 +25,11 @@ the case budget (case_budget) about a product and checks its deadline.
 Also here: binomial coefficients mod p by Lucas' theorem, with the row of
 nonzero C(b, k) of one exponent (_lucas_row), and the one term map (_act),
 which sums the images of a polynomial's terms given a monomial's image:
-the transvection and the dimension counts' rows (dickson.invariants) and
-the reduced powers (dickson.steenrod) read the Lucas rows through it.  Sums
-of terms outside poly_dot add through _add_into, except st_delta's loop:
-through _act it ran 1.3-1.7 times slower, and every st_delta family runs it.
+the transvection (dickson.invariants) and the reduced powers
+(dickson.steenrod) read the Lucas rows through it, and the dimension
+counts' rows read them directly.  Sums of terms outside poly_dot add
+through _add_into, except st_delta's loop: through _act it ran 1.3-1.7
+times slower, and every st_delta family runs it.
 
 Values are immutable by convention: no function here mutates an input
 Poly, and callers must not touch .terms after construction.  That makes
@@ -134,8 +135,22 @@ def _binom_digit(da: int, db: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _lucas_row(b: int, p: int) -> Tuple[Tuple[int, int], ...]:
-    """The nonzero (k, C(b, k) mod p) for k in 1..b, by Lucas' theorem."""
-    return tuple((k, c) for k in range(1, b + 1) if (c := binom_mod_p(b, k, p)))
+    """The nonzero (k, C(b, k) mod p) for k in 1..b, sorted by k.
+
+    By Lucas' theorem C(b, k) is the product of C(b_t, k_t) over the
+    base-p digits, nonzero exactly when every k_t <= b_t.  So the row is
+    built digit by digit, lowest first: each digit k_t runs over 0..b_t,
+    outside the k's of the lower digits, which keeps the row sorted.  Only
+    nonzero entries are ever formed; k = 0 is dropped at the end.
+    """
+    row = [(0, 1)]
+    q = 1  # p ** t, the place of the current digit
+    while b:
+        b, digit = divmod(b, p)
+        row = [(k + e * q, c * _binom_digit(digit, e, p) % p)
+               for e in range(digit + 1) for k, c in row]
+        q *= p
+    return tuple(row[1:])
 
 
 def grevlex_key(m: Monomial) -> Tuple[int, Tuple[int, ...]]:

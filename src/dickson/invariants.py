@@ -16,7 +16,8 @@ they are P_coef and R_coef, which appear in closed forms for the primitive
 Steenrod operations; in Dickson coordinates, through y_t = Q_{n,t}, they
 are y_quotient; and exact GL(n, F_p) machinery (the three generators,
 each an image of a monomial applied by fp_poly's term map _act, T's read
-off fp_poly's Lucas rows; invariance tests; dimension counts by degree).
+off fp_poly's Lucas rows; invariance tests; dimension counts by degree,
+their rows summed from the same Lucas rows by tail block).
 """
 from __future__ import annotations
 
@@ -385,6 +386,11 @@ def _sorted_exponents(n: int, d: int, step: int, top: int) -> Iterator[Monomial]
             yield (first,) + rest
 
 
+# A coordinate of a dimension count's row: the x1 exponent and the sorted
+# x3..xn exponents of a monomial, whose x2 exponent the degree fixes.
+_RowKey = Tuple[int, Monomial]
+
+
 def invariant_space_dimension(n: int, p: int, d: int) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
@@ -405,15 +411,28 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
       coefficients at the monomials whose x3..xn exponents are
       nonincreasing therefore determine it, and keeping only those
       coefficients leaves the rank unchanged.
-    - The rows.  T keeps the x3..xn exponents, so those coefficients come
-      only from the orbit members that already have a sorted tail: one per
-      ordered pick (a, b) of two entries of lambda for x1 and x2, the rest
-      kept sorted.  The row of lambda is the sum of their images under
-      T - I, read off Lucas binomials (_transvection_image), at most
-      n(n - 1) of them.  The rows are reduced mod p against pivot rows
-      stored under their least monomial.
-    - n = 2.  The picks are (a, b) and (b, a), the orbit of the 2-cycle.
-      At n = 1 there is no T, and every m_lambda is invariant.
+    - The rows by tail block.  T keeps the x3..xn exponents, so those
+      coefficients come only from the orbit members that already have a
+      sorted tail: one per ordered pick (a, b) of two entries of lambda
+      for x1 and x2, the rest kept sorted.  Picks of equal values give the
+      same member, so each distinct value pair {a, b} of lambda gives one
+      tail tau, lambda without one a and one b (still sorted), and the
+      members x1**a x2**b tau and x1**b x2**a tau (one member when a = b).
+      (T - I) x1**a x2**b tau is the sum over k >= 1 of
+      C(b, k) x1**(a+k) x2**(b-k) tau: the Lucas row of b (_lucas_row)
+      shifted by a.  Its entries are keyed (x1 exponent, tau); the degree
+      d fixes the x2 exponent, so a key names its monomial.
+    - Why the blocks never merge.  T keeps tau, so the images of
+      different value pairs lie on different monomials: the tail
+      determines the multiset {a, b} as lambda less tau.  Each block
+      enters the row as it is, and only its two orientations, (a, b) and
+      (b, a), are summed mod p.  So the row is the sum of the members'
+      images under T - I, its coordinates relabelled one to one, and the
+      rank is unchanged.  The rows are reduced mod p against pivot rows
+      stored under their least key.
+    - n = 2.  The tail is empty, and the one block of a pair a > b is the
+      orbit of the 2-cycle.  At n = 1 there is no T, and every m_lambda is
+      invariant.
 
     The count has no limit of its own.  The case budget, if set, has its
     deadline checked once per lambda, so a long count stops at the case's
@@ -424,19 +443,28 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
         raise ValueError(f"bad (n, d) = ({n}, {d})")
     budget = case_budget.get()
     sums = 0
-    pivots: Dict[Monomial, Dict[Monomial, int]] = {}
+    pivots: Dict[_RowKey, Dict[_RowKey, int]] = {}
     for lam in _sorted_exponents(n, d, p - 1, d):
         if budget is not None:
             budget.checkpoint()
         sums += 1
         if n < 2:
             continue
-        members: Dict[Monomial, int] = {}
+        row: Dict[_RowKey, int] = {}
+        # each value pair a >= b once: a at its first position, b at its
+        # first position after that one
         for i, a in enumerate(lam):
-            rest = lam[:i] + lam[i + 1:]
-            for j, b in enumerate(rest):
-                members[(a, b) + rest[:j] + rest[j + 1:]] = 1
-        row = _act(Poly._make(n, p, members), _transvection_image).terms
+            if i and lam[i - 1] == a:
+                continue
+            for j in range(i + 1, n):
+                b = lam[j]
+                if j > i + 1 and lam[j - 1] == b:
+                    continue
+                tail = lam[:i] + lam[i + 1:j] + lam[j + 1:]
+                block = {(a + k, tail): c for k, c in _lucas_row(b, p)}
+                if a != b:
+                    _add_into(block, (((b + k, tail), c) for k, c in _lucas_row(a, p)), 1, p)
+                row.update(block)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

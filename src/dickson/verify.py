@@ -655,10 +655,28 @@ def report_to_dict(report: Report) -> Dict:
     }
 
 
+# One report case as indent=2 prints it at depth 2, less its braces' lines.
+_CASE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
-    """Serialize a report; identical Report values give identical bytes."""
+    """Serialize a report; identical Report values give identical bytes.
+
+    The JSON is json.dumps(report_to_dict(report), sort_keys=True,
+    indent=2) + "\\n", byte for byte.  An indent always runs json's pure
+    Python encoder, so each case, a flat dict of scalars, is encoded by
+    the C encoder with the indented separators, and its braces and the
+    list around it are framed by hand; "cases" sorts first of the keys.
+    """
     if fmt == "json":
-        return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        data = report_to_dict(report)
+        cases, data["cases"] = data["cases"], []
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        if not cases:
+            return text
+        encode = _CASE_ENCODER.encode
+        framed = ",\n    ".join("{\n      " + encode(c)[1:-1] + "\n    }" for c in cases)
+        return text.replace('"cases": []', f'"cases": [\n    {framed}\n  ]', 1)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -622,10 +622,11 @@ class TestDimensions:
 
     @pytest.mark.parametrize("p,n,d_max", [
         (2, 1, 10), (3, 1, 10), (2, 2, 14), (2, 3, 14), (3, 2, 14),
-        (5, 2, 14), (7, 2, 14), (3, 3, 18), (2, 4, 10), (2, 5, 8),
+        (5, 2, 14), (7, 2, 14), (3, 3, 18), (2, 4, 10), (2, 5, 8), (3, 4, 12),
     ])
     def test_matches_joint_kernel(self, p, n, d_max):
-        # n >= 4 gives the rows a tail x3..xn of two or more entries to sort
+        # n >= 4 gives the rows a tail x3..xn of two or more entries to sort,
+        # at p = 2 and, with (3, 4), at odd p
         for d in range(d_max + 1):
             assert invariant_space_dimension(n, p, d) == joint_kernel_dimension(n, p, d), d
 

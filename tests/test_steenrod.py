@@ -96,6 +96,13 @@ class TestLucas:
         for b in range(p ** 3):
             want = tuple((k, c) for k in range(1, b + 1) if (c := math.comb(b, k) % p))
             assert _lucas_row(b, p) == want
+        # past three digits, to five at p = 2 and four at p = 3 and 5, each
+        # row of Pascal's triangle (the exact C(b, k)) summed from the last
+        comb = [1]
+        for b in range(1, p ** (5 if p == 2 else 4)):
+            comb = [x + y for x, y in zip(comb + [0], [0] + comb)]
+            want = tuple((k, c) for k in range(1, b + 1) if (c := comb[k] % p))
+            assert _lucas_row(b, p) == want
 
 
 class TestReducedPower:

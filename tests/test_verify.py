@@ -413,7 +413,7 @@ class TestRunCase:
         assert r.passed and not r.skipped
 
     def test_a_long_dimension_count_stops_at_the_time_budget(self, monkeypatch, cold):
-        # the count alone runs over 20 s; the deadline stops it
+        # the count alone runs about 5 s; the deadline stops it
         monkeypatch.setattr(verify, "TIME_BUDGET", 0.5)
         start = time.monotonic()
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=4999))
@@ -883,6 +883,23 @@ class TestReports:
     def test_json_matches_dict(self):
         report = run_grid(small_config())
         assert json.loads(emit_report(report, "json")) == report_to_dict(report)
+
+    @pytest.mark.parametrize("config", [
+        GridConfig(),
+        GridConfig(theorems=("main",), pairs=((5, 1),), i_max=30),
+        small_config(inject_failure=True),
+        GridConfig(theorems=("cor-n3",), pairs=((3, 2),)),
+        None,
+    ], ids=["default grid", "skips", "injected failure", "flag", "empty"])
+    def test_json_is_the_indented_dump(self, config):
+        # the cases go through the C encoder, the rest through indent=2
+        if config is None:
+            report = verify.Report(version="0", sign_flag=1, seed=0, cases=())
+        else:
+            report = run_grid(config)
+            assert report.cases
+        want = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        assert emit_report(report, "json") == want
 
     def test_text_layout(self):
         report = run_grid(small_config(inject_failure=True))

@@ -123,12 +123,21 @@ MUTANTS = [
     Mutant("the least Lucas term dropped from _transvection_image", "invariants.py",
            "for k, c in _lucas_row(b, p):",
            "for k, c in _lucas_row(b, p)[1:]:",
-           {"failed": {"invariance": 4, "hilbert": 53}}),
-    # the rows of the dimension counts
-    Mutant("the (b, a) pick dropped from the sorted-tail orbit members", "invariants.py",
-           "for j, b in enumerate(rest):",
-           "for j, b in enumerate(rest[i:], i):",
+           {"failed": {"invariance": 4}}),
+    # the rows of the dimension counts, by tail block
+    Mutant("the (b, a) orientation dropped from the block", "invariants.py",
+           "_add_into(block, (((b + k, tail), c) for k, c in _lucas_row(a, p)), 1, p)",
+           "pass",
            {"failed": {"hilbert": 75}}),
+    Mutant("the least Lucas term dropped from the block", "invariants.py",
+           "for k, c in _lucas_row(b, p)}",
+           "for k, c in _lucas_row(b, p)[1:]}",
+           {"failed": {"hilbert": 66}}),
+    # the Lucas rows, read by T, the dimension counts and the reduced powers
+    Mutant("the place of the next digit not raised in _lucas_row", "fp_poly.py",
+           "        q *= p\n",
+           "",
+           {"failed": {"invariance": 9, "hilbert": 67}}),
     Mutant("D read as g**a2", "invariants.py",
            "pow(_least_primitive_root(p), m[0], p)",
            "pow(_least_primitive_root(p), m[1], p)",
