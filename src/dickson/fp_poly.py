@@ -200,7 +200,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):

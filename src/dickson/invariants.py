@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .fp_poly import (
@@ -391,6 +391,24 @@ def _sorted_exponents(n: int, d: int, step: int, top: int) -> Iterator[Monomial]
 _RowKey = Tuple[int, Monomial]
 
 
+@lru_cache(maxsize=4096)
+def _pair_image(a: int, b: int, p: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The x1 exponents and the coefficients of (T - I)(x1**a x2**b + x1**b x2**a),
+    one member when a = b, each entry x1**e x2**(a+b-e) named by e.
+
+    The image of x1**a x2**b is the Lucas row of b shifted by a.  The
+    longer of the two rows is entered as it is, and the shorter one merged
+    into it mod p.  The x1 exponents come in no set order.
+    """
+    e, row, f, short = a, _lucas_row(b, p), b, _lucas_row(a, p)
+    if len(short) > len(row):
+        e, row, f, short = f, short, e, row
+    image = {e + k: c for k, c in row}
+    if a != b:
+        _add_into(image, ((f + k, c) for k, c in short), 1, p)
+    return tuple(image), tuple(image.values())
+
+
 def invariant_space_dimension(n: int, p: int, d: int) -> int:
     """Dimension over F_p of the GL(n, F_p)-invariant polynomials of degree d.
 
@@ -421,7 +439,13 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
       (T - I) x1**a x2**b tau is the sum over k >= 1 of
       C(b, k) x1**(a+k) x2**(b-k) tau: the Lucas row of b (_lucas_row)
       shifted by a.  Its entries are keyed (x1 exponent, tau); the degree
-      d fixes the x2 exponent, so a key names its monomial.
+      d fixes the x2 exponent, so a key names its monomial.  The image of
+      a pair, both members summed mod p (_pair_image), depends on
+      (a, b, p) alone: it is built once and shared by every tail and
+      every degree that has the pair.  Its cache is bounded, since at
+      n = 2 no pair recurs.  Each pivot row is stored as it is, with the
+      inverse of its lead, so a reduction scales the pivot once by
+      -lead * inverse and no pass normalizes it.
     - Why the blocks never merge.  T keeps tau, so the images of
       different value pairs lie on different monomials: the tail
       determines the multiset {a, b} as lambda less tau.  Each block
@@ -443,7 +467,7 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
         raise ValueError(f"bad (n, d) = ({n}, {d})")
     budget = case_budget.get()
     sums = 0
-    pivots: Dict[_RowKey, Dict[_RowKey, int]] = {}
+    pivots: Dict[_RowKey, Tuple[Dict[_RowKey, int], int]] = {}
     for lam in _sorted_exponents(n, d, p - 1, d):
         if budget is not None:
             budget.checkpoint()
@@ -461,18 +485,16 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
                 if j > i + 1 and lam[j - 1] == b:
                     continue
                 tail = lam[:i] + lam[i + 1:j] + lam[j + 1:]
-                block = {(a + k, tail): c for k, c in _lucas_row(b, p)}
-                if a != b:
-                    _add_into(block, (((b + k, tail), c) for k, c in _lucas_row(a, p)), 1, p)
-                row.update(block)
+                xs, cs = _pair_image(a, b, p)
+                row.update(zip(zip(xs, repeat(tail)), cs))
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {key: c * inv % p for key, c in row.items()}
+                pivots[lead] = (dict(row), pow(row[lead], p - 2, p))
                 break
-            _add_into(row, pivot.items(), -row[lead], p)
+            terms, inv = pivot
+            _add_into(row, terms.items(), -row[lead] * inv, p)
     return sums - len(pivots)
 
 

@@ -1,6 +1,9 @@
 """Bracket determinants, Dickson invariants, GL machinery, dimension counts."""
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -24,6 +27,7 @@ from dickson.fp_poly import (
 )
 from dickson.invariants import (
     _P_bracket,
+    _pair_image,
     _transvection_image,
     L,
     P_coef,
@@ -675,6 +679,49 @@ class TestDimensions:
             assert calls == list(range(1, 12))
         finally:
             fp_poly.case_budget.reset(token)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pair_image_is_read_off_the_binomials(self, p):
+        # (T - I)(x1**a x2**b + x1**b x2**a), one member when a = b, from
+        # math.comb: x1**x x2**y goes to C(y, k) x1**(x+k) x2**(y-k), k >= 1
+        for a in range(41):
+            for b in range(a + 1):
+                want = {}
+                for x, y in ((a, b), (b, a))[:1 + (a != b)]:
+                    for k in range(1, y + 1):
+                        want[x + k] = (want.get(x + k, 0) + math.comb(y, k)) % p
+                xs, cs = _pair_image(a, b, p)
+                assert len(set(xs)) == len(xs) == len(cs), (a, b)
+                assert dict(zip(xs, cs)) == {e: c for e, c in want.items() if c}, (a, b)
+
+    def test_the_pair_cache_leaves_every_count_unchanged(self, cold):
+        # each degree from an empty pair cache, then all degrees on one
+        # warm cache, at (p, n) = (2, 3) and (3, 3)
+        for p, n, d_max in ((2, 3, 30), (3, 3, 40)):
+            degrees = range(d_max + 1)
+            cleared = []
+            for d in degrees:
+                _pair_image.cache_clear()
+                cleared.append(invariant_space_dimension(n, p, d))
+            _pair_image.cache_clear()
+            warm = [invariant_space_dimension(n, p, d) for d in degrees]
+            assert _pair_image.cache_info().hits
+            assert cleared == warm == [dickson_monomial_count(n, p, d) for d in degrees]
+
+    def test_reduces_by_the_pivot_lead_inverse_at_odd_p(self):
+        # the pivots keep their lead coefficient, not 1: at odd p a reduction
+        # not scaled by the lead's inverse keeps the lead and never ends, so
+        # the counts run in a child process with a timeout
+        pairs = ((3, 2), (5, 2), (3, 3), (7, 2))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        code = ("from dickson.invariants import invariant_space_dimension as dim; "
+                f"print([dim(n, p, d) for p, n in {pairs} for d in range(41)])")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{[dickson_monomial_count(n, p, d) for p, n in pairs for d in range(41)]}\n"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -413,7 +413,7 @@ class TestRunCase:
         assert r.passed and not r.skipped
 
     def test_a_long_dimension_count_stops_at_the_time_budget(self, monkeypatch, cold):
-        # the count alone runs about 5 s; the deadline stops it
+        # the count alone runs about 4.5 s; the deadline stops it
         monkeypatch.setattr(verify, "TIME_BUDGET", 0.5)
         start = time.monotonic()
         r = run_case(CaseSpec(theorem="hilbert", p=2, n=2, d=4999))

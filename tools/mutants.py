@@ -124,20 +124,21 @@ MUTANTS = [
            "for k, c in _lucas_row(b, p):",
            "for k, c in _lucas_row(b, p)[1:]:",
            {"failed": {"invariance": 4}}),
-    # the rows of the dimension counts, by tail block
-    Mutant("the (b, a) orientation dropped from the block", "invariants.py",
-           "_add_into(block, (((b + k, tail), c) for k, c in _lucas_row(a, p)), 1, p)",
+    # the rows of the dimension counts, by tail block, each pair's image built once
+    Mutant("the shorter orientation dropped from the pair image", "invariants.py",
+           "_add_into(image, ((f + k, c) for k, c in short), 1, p)",
            "pass",
-           {"failed": {"hilbert": 75}}),
-    Mutant("the least Lucas term dropped from the block", "invariants.py",
-           "for k, c in _lucas_row(b, p)}",
-           "for k, c in _lucas_row(b, p)[1:]}",
            {"failed": {"hilbert": 66}}),
+    Mutant("the least Lucas term of the longer row dropped from the pair image",
+           "invariants.py",
+           "image = {e + k: c for k, c in row}",
+           "image = {e + k: c for k, c in row[1:]}",
+           {"failed": {"hilbert": 63}}),
     # the Lucas rows, read by T, the dimension counts and the reduced powers
     Mutant("the place of the next digit not raised in _lucas_row", "fp_poly.py",
            "        q *= p\n",
            "",
-           {"failed": {"invariance": 9, "hilbert": 67}}),
+           {"failed": {"invariance": 9, "hilbert": 68}}),
     Mutant("D read as g**a2", "invariants.py",
            "pow(_least_primitive_root(p), m[0], p)",
            "pow(_least_primitive_root(p), m[1], p)",
