@@ -20,7 +20,8 @@ addition, and every product of the sum adds into one accumulator (packed
 exponent vectors, after Monagan and Pearce, Sparse polynomial
 multiplication and division in Maple 14, 2009).  Packing never leaves that
 function, which is also the one place that scales exponents by p**e, asks
-the case budget (case_budget) about a product and checks its deadline.
+the case budget (case_budget, defined here) about a product and checks its
+deadline.  A budget is always set: unlimited outside a verification case.
 
 Also here: binomial coefficients mod p by Lucas' theorem, with the row of
 nonzero C(b, k) of one exponent (_lucas_row), and the one term map (_act),
@@ -37,6 +38,8 @@ sharing (memo tables, repeated references) safe without defensive copying.
 """
 from __future__ import annotations
 
+import math
+import time
 from contextvars import ContextVar
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -49,12 +52,6 @@ _TermMap = Callable[[Monomial, int], Iterable[Tuple[Monomial, int]]]
 PRIME_LIMIT = 2 ** 31
 EXPONENT_LIMIT = 2 ** 63
 
-# The budget of the verification case being run, or None.  poly_dot calls
-# its before_product(f_terms, g_terms) about every product before forming
-# any, and checkpoint() once per row, as a dimension count does; a bracket
-# or a check calls before_terms(*counts) on what it builds.  Each may raise.
-case_budget: ContextVar = ContextVar("case_budget", default=None)
-
 
 class ShapeError(ValueError):
     """Operands live in different rings (mismatched variable count or p)."""
@@ -66,6 +63,53 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class BudgetExceeded(Exception):
+    """A case's term or time budget was hit; the case is skipped."""
+
+
+class _Budget:
+    def __init__(self, term_limit: float, time_limit: float):
+        self.term_limit = term_limit
+        self.deadline = time.monotonic() + time_limit
+
+    def before_terms(self, *counts: int) -> None:
+        """Stop before polynomials of these term counts past the term or time budget."""
+        for count in counts:
+            if count > self.term_limit:
+                raise BudgetExceeded(f"{count} terms exceed the budget {self.term_limit}")
+        self.checkpoint()
+
+    def before_width(self, n: int) -> None:
+        """Stop before monomials of n exponents, n words, where the term
+        budget holds fewer: term_limit terms of one variable, at two words a
+        term, an exponent and a coefficient."""
+        if n > 2 * self.term_limit:
+            raise BudgetExceeded(f"a monomial of {n} exponents exceeds the budget "
+                                 f"{self.term_limit}, at two words a term")
+
+    def checkpoint(self) -> None:
+        if time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exceeded")
+
+    def before_product(self, f_terms: int, g_terms: int) -> None:
+        """Stop before a product of f_terms by g_terms terms whose term
+        pairs, a bound on its size, exceed the term budget."""
+        self.checkpoint()
+        if f_terms * g_terms > self.term_limit:
+            raise BudgetExceeded(
+                f"a product of {f_terms} by {g_terms} terms exceeds the budget "
+                f"{self.term_limit}"
+            )
+
+
+# The budget of the verification case being run, always set: UNLIMITED
+# outside a case.  poly_dot calls its before_product(f_terms, g_terms) about
+# every product before forming any, and checkpoint() once per row; a bracket
+# or a check calls before_terms(*counts) on what it builds.  Each may raise.
+UNLIMITED = _Budget(math.inf, math.inf)
+case_budget: ContextVar = ContextVar("case_budget", default=UNLIMITED)
 
 
 def is_prime(p: int) -> bool:
@@ -322,7 +366,7 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly, int]], n: int, p: int) ->
     at the end, and only the surviving terms are unpacked: a sum that
     cancels down to a few terms never builds its products in full.
 
-    The case budget, if set, is asked about every nonzero product, in the
+    The case budget is asked about every nonzero product, in the
     order given and by the operands' own term counts, before any is formed,
     and its deadline is checked once per row of the outer loop.
     """
@@ -335,8 +379,7 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly, int]], n: int, p: int) ->
             )
         c %= p
         if c and f.terms and g.terms:
-            if budget is not None:
-                budget.before_product(len(f.terms), len(g.terms))
+            budget.before_product(len(f.terms), len(g.terms))
             fq, gq = 1, p ** e
             if len(f.terms) > len(g.terms):
                 f, fq, g, gq = g, gq, f, fq
@@ -374,8 +417,7 @@ def poly_dot(products: Iterable[Tuple[int, Poly, Poly, int]], n: int, p: int) ->
     for c, fcols, fq, fcoeffs, gcols, gq, gcoeffs in columns:
         gp = list(zip(_pack(gcols, fields, gq), gcoeffs))
         for k1, c1 in zip(_pack(fcols, fields, fq), fcoeffs):
-            if budget is not None:
-                budget.checkpoint()
+            budget.checkpoint()
             c1 *= c
             for k2, c2 in gp:
                 k = k1 + k2

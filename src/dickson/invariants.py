@@ -70,8 +70,8 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
     Otherwise the rows are distinct powers of p, the n! terms of the
     Leibniz expansion (_signed_permutations) are distinct monomials, and
     each is +-1: variable j gets exponent p**e_sigma(j) with the sign of
-    sigma.  Swapping two entries negates the result.  The case budget, if
-    set, is asked about the n! terms before any is built.
+    sigma.  Swapping two entries negates the result.  The case budget is
+    asked about the n! terms before any is built.
     """
     require_prime(p)
     es = tuple(es)
@@ -89,8 +89,7 @@ def bracket(n: int, es: ESeq, p: int) -> Poly:
         raise OverflowError("bracket degree would exceed 2**63")
     if len(set(es)) < n:
         return poly_zero(n, p)
-    if (budget := case_budget.get()) is not None:
-        budget.before_terms(math.factorial(n))
+    case_budget.get().before_terms(math.factorial(n))
     return Poly._make(n, p, {
         tuple([powers[row] for row in sigma]): p - 1 if odd else 1
         for sigma, odd in _signed_permutations(n)
@@ -254,7 +253,7 @@ def recursion_rhs(n: int, prefix: ESeq, e: int, p: int) -> Poly:
 
     which equals bracket(n, prefix + (e + n,), p) identically.  A zero
     bracket (a repeated row) is skipped before its Q factor is built, and
-    the case budget, if set, is asked about every product before any is
+    the case budget is asked about every product before any is
     formed.  Only the recursion family checks these instances in x, and
     calls this once per nondecreasing prefix and e of its box, each other
     ordering following from its rows (verify._case_recursion); the
@@ -458,9 +457,9 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
       orbit of the 2-cycle.  At n = 1 there is no T, and every m_lambda is
       invariant.
 
-    The count has no limit of its own.  The case budget, if set, has its
-    deadline checked once per lambda, so a long count stops at the case's
-    time budget.
+    The count has no limit of its own.  The case budget has its deadline
+    checked once per lambda and before each reduction step, so a long
+    count, or a long reduction of one row, stops at the case's time budget.
     """
     require_prime(p)
     if n < 1 or d < 0:
@@ -469,8 +468,7 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
     sums = 0
     pivots: Dict[_RowKey, Tuple[Dict[_RowKey, int], int]] = {}
     for lam in _sorted_exponents(n, d, p - 1, d):
-        if budget is not None:
-            budget.checkpoint()
+        budget.checkpoint()
         sums += 1
         if n < 2:
             continue
@@ -494,6 +492,7 @@ def invariant_space_dimension(n: int, p: int, d: int) -> int:
                 pivots[lead] = (dict(row), pow(row[lead], p - 2, p))
                 break
             terms, inv = pivot
+            budget.checkpoint()
             _add_into(row, terms.items(), -row[lead] * inv, p)
     return sums - len(pivots)
 

@@ -65,8 +65,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from ._version import __version__
 from .fp_poly import (
+    BudgetExceeded,
     Monomial,
     Poly,
+    _Budget,
     case_budget,
     format_poly,
     grevlex_key,
@@ -119,10 +121,6 @@ DEFAULT_D_MAX = 30
 MAX_CASES = 10 ** 6
 
 
-class BudgetExceeded(Exception):
-    """Internal: a per-case resource budget was hit; the case is skipped."""
-
-
 @dataclass(frozen=True)
 class CaseSpec:
     theorem: str
@@ -161,49 +159,13 @@ class Report:
         }
 
 
-class _Budget:
-    def __init__(self, term_limit: int, time_limit: float):
-        self.term_limit = term_limit
-        self.deadline = time.monotonic() + time_limit
-
-    def before_terms(self, *counts: int) -> None:
-        """Stop before polynomials of these term counts past the term or time budget."""
-        for count in counts:
-            if count > self.term_limit:
-                raise BudgetExceeded(f"{count} terms exceed the budget {self.term_limit}")
-        self.checkpoint()
-
-    def before_width(self, n: int) -> None:
-        """Stop before monomials of n exponents, n words, where the term
-        budget holds fewer: term_limit terms of one variable, at two words a
-        term, an exponent and a coefficient."""
-        if n > 2 * self.term_limit:
-            raise BudgetExceeded(f"a monomial of {n} exponents exceeds the budget "
-                                 f"{self.term_limit}, at two words a term")
-
-    def checkpoint(self) -> None:
-        if time.monotonic() > self.deadline:
-            raise BudgetExceeded("time budget exceeded")
-
-    def before_product(self, f_terms: int, g_terms: int) -> None:
-        """Stop before a product of f_terms by g_terms terms whose term
-        pairs, a bound on its size, exceed the term budget."""
-        self.checkpoint()
-        if f_terms * g_terms > self.term_limit:
-            raise BudgetExceeded(
-                f"a product of {f_terms} by {g_terms} terms exceeds the budget "
-                f"{self.term_limit}"
-            )
-
-
 _Outcome = Tuple[bool, bool, Optional[str]]  # (passed, flagged, witness)
 _Check = Callable[[CaseSpec], _Outcome]
 
 
 def _guard(*polys: Poly) -> None:
-    """Ask the case budget, if set, about polynomials already built."""
-    if (budget := case_budget.get()) is not None:
-        budget.before_terms(*(len(f.terms) for f in polys))
+    """Ask the case budget about polynomials already built."""
+    case_budget.get().before_terms(*(len(f.terms) for f in polys))
 
 
 def _compare(pairs: Iterable[Tuple[Poly, Poly]]) -> _Outcome:
@@ -297,18 +259,15 @@ def _quotients_proven(n: int, left: int, top: int, p: int) -> bool:
     """Whether [prefix, j] = L_n y_quotient(n, left, j, p)(Q) is proven for
     every j <= top, the prefix being 0..n-1 with left left out.
 
-    By induction on j: the base cases j < n are checked as they stand.
-    Above them, the roots of Dickson's polynomial give the bracket
-    recursion instance [prefix, j] = sum over t of
-    (-1)**(n+t-1) [prefix, j - n + t] Q_{n,t}**(p**(j-n)), and y_quotient
-    is checked to follow the same recursion in y; as y -> Q is a ring map
-    that commutes with Frobenius, the two carry the claim from j - n..j - 1
-    to j.  So the induction reaches top only if every step up to top holds.
+    By induction on j, each step checked in order up to the first that
+    fails: the base cases j < n are checked as they stand.  Above them, the
+    roots of Dickson's polynomial give the bracket recursion instance
+    [prefix, j] = sum over t of (-1)**(n+t-1) [prefix, j - n + t]
+    Q_{n,t}**(p**(j-n)), and y_quotient is checked to follow the same
+    recursion in y; as y -> Q is a ring map that commutes with Frobenius,
+    the two carry the claim from j - n..j - 1 to j.
     """
-    j = -1
-    while j < top and _step_holds(n, left, j + 1, p):
-        j += 1
-    return j >= top
+    return all(_step_holds(n, left, j, p) for j in range(top + 1))
 
 
 def _certificate_gap(spec: CaseSpec, i: int) -> Optional[str]:

@@ -676,9 +676,38 @@ class TestDimensions:
             calls.clear()
             fp_poly.case_budget.set(Deadline(at=0))
             assert invariant_space_dimension(2, 2, 20) == 4
-            assert calls == list(range(1, 12))
+            assert calls == list(range(1, 19))
         finally:
             fp_poly.case_budget.reset(token)
+
+    def test_a_reduction_that_never_ends_stops_at_the_deadline(self, monkeypatch, cold):
+        # with _add_into leaving the row unchanged, the first reduction at
+        # (2, 2, 20) never ends: the deadline, checked before each step,
+        # stops it long before the patch gives up
+        added = []
+
+        def unchanged(out, terms, c, p):
+            added.append(c)
+            if len(added) > 1000:
+                raise RuntimeError("the reduction ran on")
+            return out
+
+        class Deadline:
+            calls = 0
+
+            def checkpoint(self):
+                self.calls += 1
+                if self.calls == 30:
+                    raise RuntimeError("time budget exceeded")
+
+        monkeypatch.setattr(invariants, "_add_into", unchanged)
+        token = fp_poly.case_budget.set(Deadline())
+        try:
+            with pytest.raises(RuntimeError, match="time budget exceeded"):
+                invariant_space_dimension(2, 2, 20)
+        finally:
+            fp_poly.case_budget.reset(token)
+        assert 0 < len(added) < 30
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_pair_image_is_read_off_the_binomials(self, p):

@@ -3,10 +3,12 @@ import contextlib
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -279,7 +281,7 @@ class TestRunCase:
         assert r.skipped and not r.passed
         assert r.skip_reason == "a product of 265720 by 4 terms exceeds the budget 1000000"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 10 ** 6
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_routes_are_built_only_after_the_earlier_ones_agree(self, monkeypatch, cold):
         # a wrong determinant route fails routes-agree with its own witness,
@@ -318,7 +320,7 @@ class TestRunCase:
         r = run_case(CaseSpec("cor-n3", 5, 3, s=1))
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link row R fails"
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_corollary_row_stops_before_a_wide_product(self, monkeypatch, cold, dot_spy):
         # the same broken row under a budget of 500,000 term pairs, which the
@@ -332,7 +334,7 @@ class TestRunCase:
         assert (r.passed, r.skipped, r.flagged) == (False, False, False)
         assert r.witness == "certificate link row R fails"
         assert dot_spy.pairs and max(dot_spy.pairs) <= 500_000
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_dickson_recursion_stops_before_a_wide_product(self, monkeypatch, cold, dot_spy):
         # q0-power builds Q_{5,0} by Dickson's recursion, whose products
@@ -342,7 +344,7 @@ class TestRunCase:
         assert r.skipped and not r.passed
         assert r.skip_reason.startswith("a product of ")
         assert dot_spy.pairs and max(dot_spy.pairs) <= 1000
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_main_form_skips_on_R_by_its_own_term_count(self, monkeypatch, cold):
         # routes-agree at (3,2,0,12): R_coef(2, 12, 3) has 88,573 terms and
@@ -364,7 +366,7 @@ class TestRunCase:
         r = run_case(CaseSpec("kernel", 2, 8, s=0, i=1))
         assert r.skipped and not r.passed
         assert r.skip_reason == "40320 terms exceed the budget 10000"
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_out_of_memory_skips(self, monkeypatch, cold):
         def exhausted(n, s, p):
@@ -374,7 +376,7 @@ class TestRunCase:
         r = run_case(CaseSpec("q0-power", 2, 2))
         assert r.skipped and not r.passed and r.witness is None
         assert r.skip_reason == "out of memory"
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_main_passes_where_the_x_route_runs_over_budget(self, monkeypatch, cold):
         # the certificate keeps R_{2,15} in the Dickson coordinates, 377 terms
@@ -420,7 +422,7 @@ class TestRunCase:
         assert time.monotonic() - start < 2
         assert (r.passed, r.skipped) == (False, True)
         assert r.skip_reason == "time budget exceeded"
-        assert case_budget.get() is None
+        assert case_budget.get() is fp_poly.UNLIMITED
 
     def test_a_monomial_wider_than_the_budget_skips_at_once(self):
         # q0-power at n = 10**8: one monomial of the case is 10**8 exponents,
@@ -487,7 +489,7 @@ def main_specs():
 def budget():
     """The default case budget, set as run_case sets it, around a check
     called directly."""
-    token = case_budget.set(verify._Budget(verify.TERM_BUDGET, verify.TIME_BUDGET))
+    token = case_budget.set(fp_poly._Budget(verify.TERM_BUDGET, verify.TIME_BUDGET))
     try:
         yield
     finally:
@@ -900,6 +902,20 @@ class TestReports:
             assert report.cases
         want = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
         assert emit_report(report, "json") == want
+
+    def test_default_json_report_is_pinned_byte_for_byte(self, capsys):
+        # `python -m dickson --format json` with every elapsed_ms masked.  A
+        # change meant to alter the report re-pins it with
+        #   PYTHONPATH=src python -m dickson --format json | sed -E \
+        #     's/"elapsed_ms": [-+0-9.eE]+/"elapsed_ms": null/' > tests/default-grid.masked.json
+        assert main(["--format", "json"]) == 0
+        got = re.sub(r'"elapsed_ms": [-+0-9.eE]+', '"elapsed_ms": null', capsys.readouterr().out)
+        want = (Path(__file__).parent / "default-grid.masked.json").read_text(encoding="utf-8")
+        lines = zip_longest(got.splitlines(), want.splitlines(), fillvalue="<no line>")
+        first = next((f"line {k}: {a!r}, pinned {b!r}"
+                      for k, (a, b) in enumerate(lines, 1) if a != b), None)
+        assert first is None, first
+        assert got == want
 
     def test_text_layout(self):
         report = run_grid(small_config(inject_failure=True))

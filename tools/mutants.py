@@ -148,10 +148,10 @@ MUTANTS = [
            "(-1, poly_one(n, p), P, 1)], n, p)",
            "(1, poly_one(n, p), P, 1)], n, p)",
            {"failed": {"main": 10, "cor-n1": 2, "cor-n2": 2, "cor-n3": 2}}),
-    Mutant("the top step of the induction dropped", "verify.py",
-           "while j < top and _step_holds(",
-           "while j < top - 1 and _step_holds(",
-           {"failed": {"main": 67, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
+    Mutant("the base cases of link 2 read without L_n", "verify.py",
+           "return lhs == poly_mul(L(n, n, p), y_quotient(n, left, j, p))",
+           "return lhs == y_quotient(n, left, j, p)",
+           {"failed": {"main": 66, "cor-n1": 11, "cor-n2": 11, "cor-n3": 11}}),
     Mutant("the sign of the t = 0 term of the roots check flipped (p = 2 cannot see it)",
            "verify.py",
            "if poly_dot([(_sign_unit(n - t, p), dickson_Q(n, t, p),",
@@ -169,6 +169,18 @@ MUTANTS = [
            "top = tuple(p * a - b for a, b in",
            "top = tuple((p - 1) * a - b for a, b in",
            {"moved": ["cor-n3 p=3 n=2 s=1", "cor-n3 p=5 n=2 s=1"]}),
+    # the primitive operation every closed form is checked against (st_delta)
+    Mutant("the derivation's coefficient a dropped", "steenrod.py",
+           "(out.get(mm, 0) + c * r) % p",
+           "(out.get(mm, 0) + c) % p",
+           {"failed": {"main": 29, "det-formula": 29, "routes-agree": 29, "smith-switzer": 9,
+                       "cor-n1": 5, "cor-n2": 5, "cor-n3": 5},
+            "sign_flag": 0}),
+    Mutant("a cancelled term kept", "steenrod.py",
+           "out.pop(mm, None)",
+           "pass",
+           {"failed": {"main": 7, "det-formula": 7, "routes-agree": 7, "smith-switzer": 7,
+                       "kernel": 7}}),
     # the main form in x, which routes-agree alone builds
     Mutant("P read without its Frobenius power in _main_form", "steenrod.py",
            "(sign, L(n, n, p), P, 1)",
